@@ -1,30 +1,25 @@
-//===- bench/ablation_parking.cpp - doorbell vs ladder parking ablation ---===//
+//===- bench/ablation_parking.cpp - doorbell parking and wake latency -----===//
 //
 // Part of the manticore-gc project.
 //
-// Sweeps the two parking policies on the two recorded topologies:
-//
-//   doorbell  -- every blocking site parks in the ParkLot and is rung
-//                awake (RuntimeConfig::UseDoorbells = true, the default)
-//   ladder    -- the pre-ParkLot baseline: blind bounded sleeps nobody
-//                can cut short (UseDoorbells = false)
-//
-// Two workloads stress the two blocking families:
+// Measures the runtime's one parking path -- every blocking site parks
+// in the ParkLot and is rung awake -- on the two recorded topologies,
+// with two workloads for the two blocking families:
 //
 //   ping-pong -- a blocked-receiver round trip: the main vproc and an
 //                echo task exchange one message per round over two
 //                channels, so every leg is a parked receiver waiting on
-//                a hand-off. Under the ladder each leg eats a blind
-//                park interval; under doorbells the sender's ring ends
-//                the park immediately. us/round-trip is the headline.
+//                a hand-off that the sender's ring ends. us/round-trip
+//                is the headline.
 //
 //   skewed    -- one producer vproc spawns bursts of leaf tasks while
-//                every other vproc idles between bursts. The ladder
-//                wakes workers only when a blind park expires; the
-//                doorbell rings them on the first spawn of each burst.
+//                every other vproc idles between bursts; the first
+//                spawns of each burst ring the parked workers.
+//
+// The wake-us column is the measured ring-to-wake latency.
 //
 // Pass --quick for the CI smoke run (same table, smaller counts; the CI
-// step asserts both policy columns are present).
+// step asserts that every skewed row rang doorbells).
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,13 +48,12 @@ struct RunResult {
   SchedStats Sched;
 };
 
-RuntimeConfig parkingConfig(unsigned NumVProcs, bool Doorbells) {
+RuntimeConfig parkingConfig(unsigned NumVProcs) {
   RuntimeConfig Cfg;
   Cfg.GC.LocalHeapBytes = 256 * 1024;
   Cfg.GC.GlobalGCBytesPerVProc = 2 * 1024 * 1024;
   Cfg.NumVProcs = NumVProcs;
   Cfg.PinThreads = false;
-  Cfg.UseDoorbells = Doorbells;
   return Cfg;
 }
 
@@ -84,16 +78,12 @@ void spinWork(unsigned Micros) {
 
 /// Think time between receiving a request and answering it, so the
 /// requester genuinely blocks: it descends past blockOn's spin rounds
-/// and the early ladder rungs into full-depth parks. (Without think
-/// time a same-speed partner is always caught in the spin phase and
-/// neither policy ever parks.) 300 us lands mid-way through the
-/// ladder's 256 us rung (the blind cumulative parks wake at
-/// 8+16+32+64+128+256 = 504 us), so the ladder overshoots the hand-off
-/// by up to ~200 us while the doorbell ring ends the park in
-/// microseconds. Spun, not slept, so the hand-off instant is
-/// deterministic to a few microseconds; the run counts stay small
-/// because sustained spinning runs shared CI containers into their CPU
-/// quota, whose throttling stalls drown the policy difference.
+/// into doorbell parks. (Without think time a same-speed partner is
+/// always caught in the spin phase and nobody parks.) Spun, not slept,
+/// so the hand-off instant is deterministic to a few microseconds; the
+/// run counts stay small because sustained spinning runs shared CI
+/// containers into their CPU quota, whose throttling stalls drown the
+/// wake latency.
 constexpr unsigned ThinkMicros = 300;
 
 void echoTask(Runtime &, VProc &VP, Task T) {
@@ -105,9 +95,8 @@ void echoTask(Runtime &, VProc &VP, Task T) {
   }
 }
 
-RunResult runPingPong(const Topology &Topo, unsigned NumVProcs,
-                      bool Doorbells, int Rounds) {
-  Runtime RT(parkingConfig(NumVProcs, Doorbells), Topo);
+RunResult runPingPong(const Topology &Topo, unsigned NumVProcs, int Rounds) {
+  Runtime RT(parkingConfig(NumVProcs), Topo);
   Channel Ping(RT), Pong(RT);
   static PingPongCtx Ctx;
   Ctx = {&Ping, &Pong, Rounds};
@@ -154,8 +143,8 @@ struct SkewCtx {
 };
 
 RunResult runSkewedProducer(const Topology &Topo, unsigned NumVProcs,
-                            bool Doorbells, int Bursts, int TasksPerBurst) {
-  Runtime RT(parkingConfig(NumVProcs, Doorbells), Topo);
+                            int Bursts, int TasksPerBurst) {
+  Runtime RT(parkingConfig(NumVProcs), Topo);
   static SkewCtx Ctx;
   Ctx = {Bursts, TasksPerBurst};
   static double Seconds;
@@ -193,9 +182,12 @@ RunResult runSkewedProducer(const Topology &Topo, unsigned NumVProcs,
   return R;
 }
 
+/// One table row. The policy column always reads "doorbell", the one
+/// parking path, so row labels and JSON configs stay comparable with
+/// older runs of this bench.
 void printRow(benchutil::JsonReport &Json, const char *Machine,
-              const char *Policy, const char *Workload, int Ops,
-              const RunResult &R) {
+              const char *Workload, int Ops, const RunResult &R) {
+  const char *Policy = "doorbell";
   const SchedStats &S = R.Sched;
   Json.addRow(Machine, std::string(Policy) + "/" + Workload,
               {{"ops", static_cast<double>(Ops)},
@@ -221,21 +213,20 @@ void printRow(benchutil::JsonReport &Json, const char *Machine,
 int main(int argc, char **argv) {
   benchutil::BenchOptions Opts = benchutil::BenchOptions::parse(
       argc, argv, "ablation_parking",
-      "Parking policy ablation: ParkLot doorbells vs the blind "
-      "bounded-sleep ladder.");
+      "Doorbell parking: blocked-receiver round trips and burst pickup, "
+      "with ring-to-wake latency.");
   const bool Quick = Opts.Quick;
   benchutil::JsonReport Json("ablation_parking", Opts.JsonPath);
 
   // Modest default counts: the ping-pong spins think-time continuously,
   // and on a CPU-quota-limited container a long sustained run gets
-  // throttled, which flattens the policy comparison into noise. Raise
+  // throttled, which drowns the wake latency in noise. Raise
   // the counts on dedicated hardware.
   const int Rounds = Quick ? 200 : 400;
   const int Bursts = Quick ? 10 : 30;
   const int TasksPerBurst = Quick ? 32 : 64;
 
-  std::printf("Ablation: parking policy (ParkLot doorbells vs blind "
-              "bounded-sleep ladder)%s\n",
+  std::printf("Parking: ParkLot doorbells and ring-to-wake latency%s\n",
               Quick ? " [--quick]" : "");
   std::printf("ping-pong: blocked-receiver round trips (us/op = "
               "us/round-trip); skewed: producer bursts\n"
@@ -259,7 +250,7 @@ int main(int argc, char **argv) {
   };
 
   // Warm-up (discarded): thread creation and first-touch noise.
-  (void)runPingPong(Machines[0].Topo, 2, true, Quick ? 50 : 200);
+  (void)runPingPong(Machines[0].Topo, 2, Quick ? 50 : 200);
 
   // Median-of-N per configuration: on a shared host the OS scheduler
   // adds large per-run jitter. The median keeps a representative run
@@ -281,30 +272,23 @@ int main(int argc, char **argv) {
   for (const MachineDef &M : Machines) {
     if (!Opts.runsTopology(M.Name))
       continue;
-    for (bool Doorbells : {true, false}) {
-      const char *Policy = Doorbells ? "doorbell" : "ladder";
-      printRow(Json, M.Name, Policy, "ping-pong", Rounds, BestOf([&] {
-                 return runPingPong(M.Topo, M.PingVProcs, Doorbells,
-                                    Rounds);
-               }));
-      printRow(Json, M.Name, Policy, "skewed", Bursts * TasksPerBurst,
-               BestOf([&] {
-                 return runSkewedProducer(M.Topo, M.SkewVProcs, Doorbells,
-                                          Bursts, TasksPerBurst);
-               }));
-    }
+    printRow(Json, M.Name, "ping-pong", Rounds, BestOf([&] {
+               return runPingPong(M.Topo, M.PingVProcs, Rounds);
+             }));
+    printRow(Json, M.Name, "skewed", Bursts * TasksPerBurst, BestOf([&] {
+               return runSkewedProducer(M.Topo, M.SkewVProcs, Bursts,
+                                        TasksPerBurst);
+             }));
   }
 
   std::printf(
-      "\nUnder the ladder a blocked receiver sleeps out blind 8..256 us\n"
-      "parks, so every ping-pong round trip overshoots the sender's\n"
-      "hand-off by an average half-park; with the ParkLot the hand-off\n"
-      "rings the receiver's node doorbell and the futex wait ends in\n"
-      "microseconds (the wake-us column is the measured ring-to-wake\n"
-      "latency). The skewed rows exercise the spawn-ring path (rings\n"
-      "sent / wasted, wake-one per ring); note that on an oversubscribed\n"
-      "host the spawner can drain small bursts alone, so waking workers\n"
-      "there mostly measures ring accounting, not pickup speedup --\n"
-      "dedicated cores are where burst pickup gains show.\n");
+      "\nThe ping-pong hand-off rings the receiver's node doorbell and\n"
+      "the futex wait ends in microseconds (the wake-us column is the\n"
+      "measured ring-to-wake latency). The skewed rows exercise the\n"
+      "spawn-ring path (rings sent / wasted, wake-one per ring); note\n"
+      "that on an oversubscribed host the spawner can drain small bursts\n"
+      "alone, so waking workers there mostly measures ring accounting,\n"
+      "not pickup speedup -- dedicated cores are where burst pickup gains\n"
+      "show.\n");
   return Json.write() ? 0 : 1;
 }

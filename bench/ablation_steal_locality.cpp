@@ -90,12 +90,6 @@ RunResult runTree(const Topology &Topo, unsigned NumVProcs,
   Cfg.PinThreads = false;
   Cfg.LocalStealFirst = LocalStealFirst;
   Cfg.StealBatch = StealBatch;
-  // This ablation isolates *victim selection*: the newer rebalance
-  // mechanisms are pinned to their baselines so the batch column keeps
-  // meaning "per-handshake cap" and no task migrates outside the
-  // handshake under test (bench_ablation_rebalance sweeps those knobs).
-  Cfg.StealHalf = false;
-  Cfg.ShedThreshold = 0;
   Runtime RT(Cfg, Topo);
 
   int64_t TotalTasks = 0;

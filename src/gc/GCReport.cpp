@@ -318,50 +318,9 @@ Report manti::buildGCReport(GCWorld &World, const SchedStats &Sched) {
       .metric("affinity_handoffs",
               static_cast<double>(Sched.AffinityHandoffs),
               Report::Unit::Count, "affinity-matched handoffs")
-      .metric("steal_chunks", static_cast<double>(Sched.StealChunks),
-              Report::Unit::Count, "steal-half chunks")
-      .metric("mean_steal_chunks", Sched.meanStealChunks(),
-              Report::Unit::Count, "mean chunks/handshake")
-      .metric("tasks_shed", static_cast<double>(Sched.TasksShed),
-              Report::Unit::Count, "tasks shed")
-      .metric("shed_batches", static_cast<double>(Sched.ShedBatches),
-              Report::Unit::Count, "shed batches")
-      .metric("shed_target_misses",
-              static_cast<double>(Sched.ShedTargetMisses),
-              Report::Unit::Count, "shed target misses")
-      .metric("shed_tasks_claimed",
-              static_cast<double>(Sched.ShedTasksClaimed),
-              Report::Unit::Count, "shed claimed")
-      .metric("shed_claims", static_cast<double>(Sched.ShedClaims),
-              Report::Unit::Count, "shed pickups")
-      .metric("shed_env_bytes", static_cast<double>(Sched.ShedEnvBytes),
-              Report::Unit::Bytes, "shed-env")
       .metric("patience_raises", static_cast<double>(Sched.PatienceRaises),
               Report::Unit::Count, "patience raises")
       .metric("patience_drops", static_cast<double>(Sched.PatienceDrops),
               Report::Unit::Count, "patience drops");
   return R;
-}
-
-//===----------------------------------------------------------------------===//
-// Convenience faces
-//===----------------------------------------------------------------------===//
-
-std::string manti::gcReportString(GCWorld &World) {
-  return buildGCReport(World).human();
-}
-
-std::string manti::gcReportString(GCWorld &World, const SchedStats &Sched) {
-  return buildGCReport(World, Sched).human();
-}
-
-void manti::printGCReport(std::FILE *Out, GCWorld &World) {
-  std::string Report = gcReportString(World);
-  std::fwrite(Report.data(), 1, Report.size(), Out);
-}
-
-void manti::printGCReport(std::FILE *Out, GCWorld &World,
-                          const SchedStats &Sched) {
-  std::string Report = gcReportString(World, Sched);
-  std::fwrite(Report.data(), 1, Report.size(), Out);
 }

@@ -89,52 +89,25 @@ void futexWake(std::atomic<uint32_t> &, int) {}
 } // namespace
 
 ParkLot::ParkLot(unsigned NumNodes)
-    : NumNodes(NumNodes), Bells(new Doorbell[NumNodes]),
-      Bays(new ShedBay[NumNodes]) {
+    : NumNodes(NumNodes), Bells(new Doorbell[NumNodes]) {
   MANTI_CHECK(NumNodes >= 1, "a ParkLot needs at least one node");
 }
 
-void ParkLot::publishShed(NodeId N, const Task *Tasks, unsigned Count) {
-  ShedBay &Bay = Bays[N];
-  std::lock_guard<SpinLock> Guard(Bay.Lock);
-  for (unsigned I = 0; I < Count; ++I)
-    Bay.Tasks.push_back(Tasks[I]);
-  Bay.Depth.store(Bay.Tasks.size(), std::memory_order_relaxed);
-}
-
-unsigned ParkLot::claimShed(NodeId N, Task *Out, unsigned Max) {
-  ShedBay &Bay = Bays[N];
-  std::lock_guard<SpinLock> Guard(Bay.Lock);
-  unsigned Got = static_cast<unsigned>(
-      std::min<std::size_t>(Max, Bay.Tasks.size()));
-  for (unsigned I = 0; I < Got; ++I) {
-    Out[I] = Bay.Tasks.front();
-    Bay.Tasks.pop_front();
-  }
-  Bay.Depth.store(Bay.Tasks.size(), std::memory_order_relaxed);
-  return Got;
-}
-
-ParkLot::Token ParkLot::prepare(NodeId N, bool Claimable) {
+ParkLot::Token ParkLot::prepare(NodeId N) {
   Doorbell &B = Bells[N];
   // Waiter registration must be seq_cst-ordered *before* the epoch
   // snapshot: a ringer bumps the epoch and then loads the waiter count,
   // so one side of every race is always observed (see the file comment
   // in ParkLot.h).
   B.Waiters.fetch_add(1, std::memory_order_seq_cst);
-  if (Claimable)
-    B.IdleWaiters.fetch_add(1, std::memory_order_seq_cst);
   Token T;
   T.NodeEpoch = B.Epoch.load(std::memory_order_seq_cst);
   T.BroadcastEpoch = Broadcast.Epoch.load(std::memory_order_seq_cst);
-  T.Claimable = Claimable;
   return T;
 }
 
-void ParkLot::cancel(NodeId N, Token T) {
+void ParkLot::cancel(NodeId N, Token) {
   Bells[N].Waiters.fetch_sub(1, std::memory_order_seq_cst);
-  if (T.Claimable)
-    Bells[N].IdleWaiters.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 bool ParkLot::park(NodeId N, Token T, std::chrono::microseconds MaxWait,
@@ -153,8 +126,6 @@ bool ParkLot::park(NodeId N, Token T, std::chrono::microseconds MaxWait,
   // it slept; Woken and ValueChanged are the real ring deliveries.
   bool Rung = End != WaitEnd::Timeout && EpochMoved();
   B.Waiters.fetch_sub(1, std::memory_order_seq_cst);
-  if (T.Claimable)
-    B.IdleWaiters.fetch_sub(1, std::memory_order_seq_cst);
   if (Rung && RingLatencyNanos) {
     uint64_t Now = steadyNanos();
     uint64_t RingAt =

@@ -36,23 +36,8 @@
 /// The doorbell carries no data: every happens-before edge for the
 /// *condition* (queue depths, mailbox state, channel Ready flags, the
 /// global-GC pending flag) still comes from that state's own atomics.
-/// The ParkLot only decides who sleeps and who is woken, which is why
-/// disabling it (RuntimeConfig::UseDoorbells = false, the ablation
-/// baseline) degrades latency but never correctness.
-///
-/// One structure here *does* carry data: the per-node **shed bay**, the
-/// push side of victim-initiated rebalancing. A vproc whose queue runs
-/// deep publishes a batch of already-promoted tasks into a starved
-/// node's bay and then rings that node's doorbell (publish *before*
-/// ring, the same order every ring site follows); a woken vproc claims
-/// the batch from its own node's bay at its next idle step. The bay is
-/// the node-granular complement of the steal mailbox: steals are
-/// thief-initiated and vproc-to-vproc, sheds are victim-initiated and
-/// addressed to whichever of the node's vprocs wakes first. Bay slots
-/// hold GC-managed environments, so the Runtime enumerates every bay as
-/// a global root (the tasks were promoted before publication, so minor
-/// collections never move them; the global collector updates the slots
-/// in place).
+/// The ParkLot only decides who sleeps and who is woken; a missed ring
+/// costs at most one bounded backstop, never correctness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,16 +45,12 @@
 #define MANTI_RUNTIME_PARKLOT_H
 
 #include "numa/Topology.h"
-#include "runtime/Task.h"
 #include "support/Compiler.h"
-#include "support/SpinLock.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 
 namespace manti {
 
@@ -84,18 +65,12 @@ public:
   struct Token {
     uint32_t NodeEpoch;
     uint32_t BroadcastEpoch;
-    bool Claimable;
   };
 
   /// Parker side, step 1: registers the caller as a waiter on node \p N
   /// and snapshots the epochs. Must be followed by exactly one cancel()
-  /// or park() on the same node with the returned token. \p Claimable
-  /// marks an *idle-ladder* parker -- one that will claim the node's
-  /// shed bay when woken. Channel-blocked parkers pass false: they
-  /// cannot run arbitrary tasks, so shed targeting must not count them
-  /// (a batch shed at a node whose only waiters are channel-blocked
-  /// would strand until some other vproc went idle).
-  Token prepare(NodeId N, bool Claimable = true);
+  /// or park() on the same node with the returned token.
+  Token prepare(NodeId N);
 
   /// Parker side, step 2a: the wake condition already holds; deregister
   /// without sleeping.
@@ -127,51 +102,7 @@ public:
     return Bells[N].Waiters.load(std::memory_order_seq_cst);
   }
 
-  /// The subset of parkedOn(N) that are idle-ladder (bay-claiming)
-  /// parkers; shed targeting reads this, so work is only pushed where
-  /// somebody will pick it up.
-  unsigned idleParkedOn(NodeId N) const {
-    return Bells[N].IdleWaiters.load(std::memory_order_seq_cst);
-  }
-
   unsigned numNodes() const { return NumNodes; }
-
-  //===--------------------------------------------------------------------===//
-  // Shed bay: the push-side rebalance handshake
-  //===--------------------------------------------------------------------===//
-
-  /// Shedder side, step 1: appends \p Count tasks to node \p N's bay.
-  /// Every task's environment must already live in the global heap (the
-  /// shedder promoted it out of its local heap -- only the owner may
-  /// copy from one). Follow with ring(N) so a parked vproc comes to
-  /// claim; the bay's own lock publishes the tasks, the ring only cuts
-  /// the wait short.
-  void publishShed(NodeId N, const Task *Tasks, unsigned Count);
-
-  /// Claimer side: pops up to \p Max of the oldest tasks from node
-  /// \p N's bay into \p Out and returns the count (0 when the bay is
-  /// empty or another claimer won the race). The caller must enqueue or
-  /// run the tasks without an intervening safe point: between this copy
-  /// and re-registration in a ready queue nothing roots them.
-  unsigned claimShed(NodeId N, Task *Out, unsigned Max);
-
-  /// Tasks currently parked in node \p N's bay (racy snapshot; shed
-  /// targeting and the idle-park re-check read it without the lock).
-  std::size_t shedDepth(NodeId N) const {
-    return Bays[N].Depth.load(std::memory_order_relaxed);
-  }
-
-  /// Visits every bay-resident task's environment slot (global-GC root
-  /// enumeration). Takes each bay's lock; callers run at a stop-the-world
-  /// point, and no publisher or claimer holds a bay lock across a safe
-  /// point, so this cannot deadlock against a parked mutator.
-  template <typename FnT> void forEachShedRoot(FnT Fn) {
-    for (unsigned N = 0; N < NumNodes; ++N) {
-      std::lock_guard<SpinLock> Guard(Bays[N].Lock);
-      for (Task &T : Bays[N].Tasks)
-        Fn(reinterpret_cast<Word *>(&T.Env));
-    }
-  }
 
 private:
   /// One doorbell: padded to a cache line so parkers on different nodes
@@ -179,22 +110,11 @@ private:
   struct alignas(CacheLineSize) Doorbell {
     std::atomic<uint32_t> Epoch{0};   ///< bumped by every ring
     std::atomic<uint32_t> Waiters{0}; ///< vprocs between prepare and wake
-    std::atomic<uint32_t> IdleWaiters{0}; ///< ... that would claim the bay
     std::atomic<uint64_t> LastRingNanos{0}; ///< steady-clock ring stamp
-  };
-
-  /// One shed bay: a lock-protected FIFO of rebalanced tasks plus a
-  /// lock-free depth estimate, padded like the doorbells so bays on
-  /// different nodes never share a line.
-  struct alignas(CacheLineSize) ShedBay {
-    SpinLock Lock;
-    std::deque<Task> Tasks;              ///< oldest first
-    std::atomic<std::size_t> Depth{0};   ///< Tasks.size(), lock-free view
   };
 
   unsigned NumNodes;
   std::unique_ptr<Doorbell[]> Bells;
-  std::unique_ptr<ShedBay[]> Bays;
   Doorbell Broadcast;
 };
 

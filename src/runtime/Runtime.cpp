@@ -50,19 +50,17 @@ Runtime::Runtime(const RuntimeConfig &Config, const Topology &Topo)
 
   World.setVProcRootEnumerator(&Runtime::enumerateVProcRootsThunk, this);
   World.setGlobalRootEnumerator(&Runtime::enumerateGlobalRootsThunk, this);
-  if (Config.UseDoorbells) {
-    // The global-GC trigger (and completion) rings the broadcast
-    // doorbell: every parked vproc reaches its safe point immediately
-    // instead of waiting out a park interval.
-    World.setWakeupHook(
-        [](void *LotPtr) { static_cast<ParkLot *>(LotPtr)->ringBroadcast(); },
-        Lot.get());
-  }
+  // The global-GC trigger (and completion) rings the broadcast doorbell:
+  // every parked vproc reaches its safe point immediately instead of
+  // waiting out a park interval.
+  World.setWakeupHook(
+      [](void *LotPtr) { static_cast<ParkLot *>(LotPtr)->ringBroadcast(); },
+      Lot.get());
   // Concurrent marking is driven by ordinary tasks: when a cycle's init
   // rendezvous flips to ConcMark, the leader (world still stopped at the
   // pre-release barrier, so owner-only spawn onto its own queue is safe)
   // seeds one marker per node. Wired unconditionally -- markers are part
-  // of the collector, not the doorbell policy.
+  // of the collector, not of the scheduler.
   World.setConcurrentMarkHook(
       [](void *RTPtr, unsigned LeaderVProc) {
         Runtime *RT = static_cast<Runtime *>(RTPtr);
@@ -87,7 +85,7 @@ Runtime::Runtime(const RuntimeConfig &Config, const Topology &Topo)
     CallerAffinitySaved =
         pthread_getaffinity_np(pthread_self(), sizeof(CallerAffinity),
                                &CallerAffinity) == 0;
-    pinThread(World.heap(0).core());
+    pinThread(0);
   }
 }
 
@@ -104,24 +102,28 @@ Runtime::~Runtime() {
               "before the runtime");
 }
 
-void Runtime::pinThread(CoreId Core) {
+void Runtime::pinThread(unsigned VProcId) {
   // Host topologies carry the probe's core -> OS-cpu map, so the vproc
-  // lands on a cpu that really belongs to its node; recorded topologies
-  // fold onto whatever the host has. Best effort either way: pinning
-  // fails in restricted containers, which is fine.
+  // lands on a cpu that really belongs to its node. Recorded topologies
+  // fold by vproc index, not core id: the sparse assignment spreads
+  // vprocs over cores whose ids share residues (intel32's 8 vprocs get
+  // cores 0, 8, 16, 24, 1, 9, 17, 25), so a core-id fold would stack
+  // them on a few host cpus. Best effort either way: pinning fails in
+  // restricted containers, which is fine.
   if (World.topology().hasCpuMap()) {
-    (void)numaos::pinThisThread(World.topology().osCpuOfCore(Core));
+    (void)numaos::pinThisThread(
+        World.topology().osCpuOfCore(World.heap(VProcId).core()));
     return;
   }
   unsigned HostCores = std::thread::hardware_concurrency();
   if (HostCores == 0)
     return;
-  (void)numaos::pinThisThread(Core % HostCores);
+  (void)numaos::pinThisThread(VProcId % HostCores);
 }
 
 void Runtime::workerLoop(unsigned Id) {
   if (Config.PinThreads)
-    pinThread(World.heap(Id).core());
+    pinThread(Id);
   VProc &VP = vproc(Id);
 
   uint64_t SeenEpoch = 0;
@@ -135,12 +137,6 @@ void Runtime::workerLoop(unsigned Id) {
     if (!ShuttingDown.load(std::memory_order_acquire)) {
       VP.poll();
       if (VP.runOneLocal()) {
-        Sched->noteProgress(VP);
-        continue;
-      }
-      // Rebalanced work parked in this node's shed bay is nearer than
-      // anything a steal could fetch: claim it before probing victims.
-      if (Sched->claimShedAndRun(VP)) {
         Sched->noteProgress(VP);
         continue;
       }
@@ -240,13 +236,7 @@ void Runtime::enumerateVProcRootsThunk(unsigned VProcId, RootSlotVisitor V,
 void Runtime::enumerateGlobalRootsThunk(RootSlotVisitor V, void *VisitorCtx,
                                         void *EnumCtx) {
   Runtime *RT = static_cast<Runtime *>(EnumCtx);
-  {
-    std::lock_guard<SpinLock> Guard(RT->RootProviderLock);
-    for (GlobalRootProvider *P : RT->RootProviders)
-      P->enumerateGlobalRoots(V, VisitorCtx);
-  }
-  // Shed-bay residents: published rebalance batches whose environments
-  // live in the global heap (promoted before publication) but are
-  // reachable from no queue until a claimer picks them up.
-  RT->Lot->forEachShedRoot([&](Word *Slot) { V(Slot, VisitorCtx); });
+  std::lock_guard<SpinLock> Guard(RT->RootProviderLock);
+  for (GlobalRootProvider *P : RT->RootProviders)
+    P->enumerateGlobalRoots(V, VisitorCtx);
 }

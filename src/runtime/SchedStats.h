@@ -29,12 +29,9 @@ struct SchedStats {
   // Thief side: successful steal handshakes, classified by whether the
   // victim ran on the thief's NUMA node (Section 2.1: a cross-node steal
   // drags an environment -- and its subsequent promotions -- across the
-  // interconnect). With RuntimeConfig::StealHalf a single handshake may
-  // carry several mailbox-sized chunks; StealChunks counts them (equal to
-  // StealBatches in the fixed-batch baseline).
+  // interconnect).
   uint64_t TasksStolen = 0;      ///< tasks received via steals
   uint64_t StealBatches = 0;     ///< successful handshakes
-  uint64_t StealChunks = 0;      ///< mailbox chunks across those handshakes
   uint64_t NodeLocalBatches = 0; ///< ... with a same-node victim
   uint64_t CrossNodeBatches = 0; ///< ... with a remote victim
 
@@ -60,18 +57,8 @@ struct SchedStats {
   uint64_t AffinityHandoffs = 0; ///< steal-batch tasks handed to their
                                  ///< hinted node's thief
 
-  // Victim-initiated shedding (the push side of rebalancing). Shedder
-  // counters are charged to the vproc whose deep queue shed; claim
-  // counters to the vproc that picked the batch up from its node's bay.
-  uint64_t TasksShed = 0;        ///< tasks pushed to a starved node's bay
-  uint64_t ShedBatches = 0;      ///< shed handshakes (publish + ring)
-  uint64_t ShedEnvBytes = 0;     ///< environment bytes promoted for sheds
-  uint64_t ShedTargetMisses = 0; ///< deep queue, but no parked starved node
-  uint64_t ShedClaims = 0;       ///< bay pickups by this vproc
-  uint64_t ShedTasksClaimed = 0; ///< tasks received through those pickups
-
   // Adaptive remote-steal patience (per-vproc multiplicative updates,
-  // bounded by RuntimeConfig::RemoteStealPatience{Min,Max}).
+  // bounded to [8, 512]).
   uint64_t PatienceRaises = 0; ///< windows that doubled the patience
   uint64_t PatienceDrops = 0;  ///< windows that halved it
 
@@ -91,14 +78,6 @@ struct SchedStats {
                         : 0.0;
   }
 
-  /// Mean mailbox chunks per successful steal handshake (1.0 in the
-  /// fixed-batch baseline; > 1 means steal-half drained deep queues).
-  double meanStealChunks() const {
-    return StealBatches ? static_cast<double>(StealChunks) /
-                              static_cast<double>(StealBatches)
-                        : 0.0;
-  }
-
   /// Mean ring-to-wake latency in microseconds (0 when nothing was ever
   /// woken by a ring).
   double meanRingWakeupMicros() const {
@@ -112,7 +91,6 @@ struct SchedStats {
     Spawns += O.Spawns;
     TasksStolen += O.TasksStolen;
     StealBatches += O.StealBatches;
-    StealChunks += O.StealChunks;
     NodeLocalBatches += O.NodeLocalBatches;
     CrossNodeBatches += O.CrossNodeBatches;
     TasksServiced += O.TasksServiced;
@@ -128,12 +106,6 @@ struct SchedStats {
     ParkTimeouts += O.ParkTimeouts;
     RingWakeupNanos += O.RingWakeupNanos;
     AffinityHandoffs += O.AffinityHandoffs;
-    TasksShed += O.TasksShed;
-    ShedBatches += O.ShedBatches;
-    ShedEnvBytes += O.ShedEnvBytes;
-    ShedTargetMisses += O.ShedTargetMisses;
-    ShedClaims += O.ShedClaims;
-    ShedTasksClaimed += O.ShedTasksClaimed;
     PatienceRaises += O.PatienceRaises;
     PatienceDrops += O.PatienceDrops;
   }

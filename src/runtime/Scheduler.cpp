@@ -25,10 +25,9 @@ namespace {
 constexpr unsigned SpinRounds = 16;
 constexpr unsigned YieldRounds = 32;
 constexpr unsigned MinParkMicros = 8;
-/// Park backstop: with doorbells a ring ends the wait immediately, so
-/// this bound only matters when a wake-up signal has no ring (e.g. a
-/// join counter hitting zero) or in the ladder-baseline ablation. Small
-/// enough that such a vproc still reaches its next safe point promptly.
+/// Park backstop: a ring ends the wait immediately, so this bound only
+/// matters when a wake-up signal has no ring. Small enough that such a
+/// vproc still reaches its next safe point promptly.
 constexpr unsigned MaxParkMicros = 256;
 
 /// blockOn's poll+yield spin before the first doorbell park: long
@@ -47,6 +46,12 @@ constexpr std::size_t RemoteRingDepth = 4;
 /// rounds.
 constexpr unsigned PatienceWindow = 32;
 
+/// Clamps for the adaptive patience: never reach remote tiers with less
+/// delay than PatienceMin rounds, never throttle them harder than
+/// PatienceMax.
+constexpr unsigned PatienceMin = 8;
+constexpr unsigned PatienceMax = 512;
+
 } // namespace
 
 Scheduler::Scheduler(Runtime &RT)
@@ -54,19 +59,7 @@ Scheduler::Scheduler(Runtime &RT)
       StealBatch(std::clamp(RT.config().StealBatch, 1u,
                             StealRequest::MaxBatch)),
       LocalStealFirst(RT.config().LocalStealFirst),
-      UseDoorbells(RT.config().UseDoorbells),
-      StealHalf(RT.config().StealHalf),
-      RemotePatience(RT.config().RemoteStealPatience),
-      // Patience 0 means "no remote throttle at all"; there is nothing
-      // for the adaptive controller to scale, so it stays off.
-      Adaptive(RT.config().AdaptivePatience &&
-               RT.config().RemoteStealPatience != 0),
-      PatienceMin(std::max(1u, RT.config().RemoteStealPatienceMin)),
-      // Clamp against the already-sanitized lower bound (PatienceMin is
-      // initialized first), so Min=Max=0 cannot produce a zero ceiling
-      // that a patience raise would store and tierLimit divide by.
-      PatienceMax(std::max(PatienceMin, RT.config().RemoteStealPatienceMax)),
-      ShedThreshold(RT.config().ShedThreshold) {
+      RemotePatience(RT.config().RemoteStealPatience) {
   unsigned N = RT.numVProcs();
   Backoff.resize(N);
   // Seed the adaptive patience from the fixed value (deliberately
@@ -93,12 +86,6 @@ Scheduler::Scheduler(Runtime &RT)
     }
   }
 
-  // Load-board aggregation lists: which vprocs' depth counters make up
-  // each node's estimate.
-  NodeVProcs.resize(Topo.numNodes());
-  for (unsigned V = 0; V < N; ++V)
-    NodeVProcs[RT.vproc(V).node()].push_back(V);
-
   // Ring-escalation order: from each vproc-hosting node, the *other*
   // nodes that host vprocs, nearest first.
   std::vector<bool> HasVProc(Topo.numNodes(), false);
@@ -117,12 +104,12 @@ std::size_t Scheduler::tierLimit(const VProc &Thief) const {
   if (RemotePatience == 0)
     return Proximity[Thief.id()].size();
   const BackoffState &B = Backoff[Thief.id()];
-  unsigned Patience = Adaptive ? B.Patience : RemotePatience;
-  return 1 + static_cast<std::size_t>(B.FailedRounds / Patience);
+  return 1 + static_cast<std::size_t>(B.FailedRounds / B.Patience);
 }
 
 void Scheduler::notePatienceSample(VProc &VP, bool Success) {
-  if (!Adaptive)
+  // Patience 0 means "no remote throttle at all": nothing to adapt.
+  if (RemotePatience == 0)
     return;
   BackoffState &B = Backoff[VP.id()];
   ++B.WindowRounds;
@@ -242,75 +229,18 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
   ringNode(Thief, Victim.node());
 
   // Wait for the victim's answer; keep answering our own mailbox and
-  // joining pending collections so nothing deadlocks. With steal-half a
-  // single handshake delivers several mailbox chunks: each Filled chunk
-  // is consumed and acknowledged with Consumed (step 4 in VProc.h), and
-  // the loop keeps spinning for the next one until a chunk arrives with
-  // More == false.
-  unsigned Total = 0, Chunks = 0;
-  // Finishing stats, shared by the normal final chunk and the empty
-  // terminator of a truncated transfer.
-  auto FinishStats = [&] {
-    Thief.SStats.TasksStolen += Total;
-    ++Thief.SStats.StealBatches;
-    Thief.SStats.StealChunks += Chunks;
-    if (Victim.node() == Thief.node())
-      ++Thief.SStats.NodeLocalBatches;
-    else
-      ++Thief.SStats.CrossNodeBatches;
-    // Finishing a multi-task handshake leaves fresh work on this node's
-    // queue: ring it so parked peers help with the batch.
-    if (Total > 1)
-      ringNode(Thief, Thief.node());
-    MANTI_DEBUG("sched",
-                "vp%u stole %u task(s) in %u chunk(s) from vp%u "
-                "(%s-node)",
-                Thief.id(), Total, Chunks, Victim.id(),
-                Victim.node() == Thief.node() ? "same" : "cross");
-  };
+  // joining pending collections so nothing deadlocks.
   for (;;) {
     int S = Req.State.load(std::memory_order_acquire);
     if (S == StealRequest::Filled) {
       // The acquire above pairs with the victim's release store of
-      // Filled: the batch slots, Count, and More are visible (step 2).
+      // Filled: the batch slots and Count are visible (step 2).
       unsigned Count = Req.Count;
-      bool More = Req.More;
-      MANTI_CHECK(Count <= StealRequest::MaxBatch &&
-                      (Count >= 1 || (!More && Total >= 1)),
+      MANTI_CHECK(Count >= 1 && Count <= StealRequest::MaxBatch,
                   "steal batch out of range");
-      if (Count == 0) {
-        // Empty terminator: the victim's queue drained between chunks.
-        // Everything we netted is already on our own queue; run from
-        // there (it may have been re-stolen meanwhile, in which case
-        // this round simply reports no task run).
-        Req.State.store(StealRequest::Idle, std::memory_order_release);
-        FinishStats();
-        return Thief.runOneLocal();
-      }
-      Total += Count;
-      ++Chunks;
-      if (More) {
-        // Mid-transfer chunk: everything goes on the local queue (the
-        // queue is scanned as roots, and this loop takes safe points
-        // while waiting for the next chunk -- a task held in a local
-        // here would go stale under a global collection). The release
-        // store pairs with the victim's acquire, ordering our
-        // consumption before its next chunk's writes. Straight-line
-        // from the Filled load to here -- no safe point with an
-        // unconsumed chunk in hand.
-        for (unsigned I = 0; I < Count; ++I)
-          Thief.enqueueStolen(Req.Stolen[I]);
-        for (unsigned I = 0; I < Count; ++I)
-          Req.Stolen[I] = Task();
-        Req.Count = 0;
-        Req.State.store(StealRequest::Consumed,
-                        std::memory_order_release);
-        continue;
-      }
-      // Final (or only) chunk: run its oldest task directly -- no safe
-      // point between here and runTask's rooting -- and queue the rest
-      // (oldest first, so the local LIFO end still prefers the newest
-      // work).
+      // Run the oldest task directly -- no safe point between here and
+      // runTask's rooting -- and queue the rest (oldest first, so the
+      // local LIFO end still prefers the newest work).
       Task First = Req.Stolen[0];
       for (unsigned I = 1; I < Count; ++I)
         Thief.enqueueStolen(Req.Stolen[I]);
@@ -318,7 +248,19 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
         Req.Stolen[I] = Task();
       Req.Count = 0;
       Req.State.store(StealRequest::Idle, std::memory_order_release);
-      FinishStats();
+      Thief.SStats.TasksStolen += Count;
+      ++Thief.SStats.StealBatches;
+      if (Victim.node() == Thief.node())
+        ++Thief.SStats.NodeLocalBatches;
+      else
+        ++Thief.SStats.CrossNodeBatches;
+      // A multi-task batch leaves fresh work on this node's queue: ring
+      // it so parked peers help with the batch.
+      if (Count > 1)
+        ringNode(Thief, Thief.node());
+      MANTI_DEBUG("sched", "vp%u stole %u task(s) from vp%u (%s-node)",
+                  Thief.id(), Count, Victim.id(),
+                  Victim.node() == Thief.node() ? "same" : "cross");
       Thief.runTask(First);
       return true;
     }
@@ -334,85 +276,26 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
 }
 
 bool Scheduler::serviceSteal(VProc &Victim) {
-  // An in-flight chunked transfer always goes first: the thief is
-  // spinning for the next chunk, and nothing else may reuse the request
-  // slots until it arrives.
-  if (Victim.ActiveSteal)
-    return continueSteal(Victim);
   StealRequest *Req = Victim.Mailbox.load(std::memory_order_acquire);
   if (!Req)
     return false;
   std::size_t K = Victim.ReadyQ.size();
+  Victim.Mailbox.store(nullptr, std::memory_order_release);
   if (K == 0) {
-    Victim.Mailbox.store(nullptr, std::memory_order_release);
     Req->State.store(StealRequest::Failed, std::memory_order_release);
     return true;
   }
-  // Steal the oldest ceil(k/2) tasks: they are the largest units of
-  // pending work, and handing over several at once amortizes the
-  // handshake and the promotion pauses. With steal-half the whole
-  // budget moves through the one handshake in StealBatch-sized chunks;
-  // the fixed-batch baseline caps the budget at one chunk. The mailbox
-  // is cleared up front (release-published before the first Filled):
-  // during a long transfer other thieves may post fresh requests, which
-  // this vproc answers once the transfer is done.
-  std::size_t Budget = (K + 1) / 2;
-  if (!StealHalf)
-    Budget = std::min<std::size_t>(Budget, StealBatch);
-  Victim.Mailbox.store(nullptr, std::memory_order_release);
-  ++Victim.SStats.BatchesServiced;
-
-  sendStealChunk(Victim, Req, Budget);
-  if (Budget > 0) {
-    // More chunks promised: park the transfer as a continuation. The
-    // victim NEVER blocks waiting for the thief's Consumed ack -- in a
-    // ring of mutual steals, every party blocked in a victim-side wait
-    // would be waiting on a thief that is itself blocked in its own
-    // victim-side wait, a permanent cycle. Instead the next chunk goes
-    // out from a later poll (and the idle ladder refuses to park while
-    // a transfer is open, so the ack turnaround stays tight).
-    Victim.ActiveSteal = Req;
-    Victim.ActiveStealBudget = Budget;
-  }
-  return true;
-}
-
-bool Scheduler::continueSteal(VProc &Victim) {
-  StealRequest *Req = Victim.ActiveSteal;
-  // The acquire pairs with the thief's Consumed release store: its
-  // reads of the previous chunk happen-before our reuse of the slots.
-  if (Req->State.load(std::memory_order_acquire) != StealRequest::Consumed)
-    return false; // thief has not consumed the last chunk yet
-  std::size_t Budget = Victim.ActiveStealBudget;
-  sendStealChunk(Victim, Req, Budget);
-  Victim.ActiveStealBudget = Budget;
-  if (Budget == 0)
-    Victim.ActiveSteal = nullptr;
-  return true;
-}
-
-void Scheduler::sendStealChunk(VProc &Victim, StealRequest *Req,
-                               std::size_t &Budget) {
-  // The victim may have run -- or lost to other thieves -- part of its
-  // queue since the budget was set: re-bound by what is actually there.
-  unsigned Take = static_cast<unsigned>(std::min<std::size_t>(
-      std::min<std::size_t>(Budget, StealBatch), Victim.ReadyQ.size()));
-  if (Take == 0) {
-    // Queue drained mid-transfer: close the handshake with an empty
-    // terminator chunk (the first chunk of a handshake is never empty,
-    // so the thief always nets at least one task).
-    Req->Count = 0;
-    Req->More = false;
-    Budget = 0;
-    Req->State.store(StealRequest::Filled, std::memory_order_release);
-    return;
-  }
+  // Steal the oldest ceil(k/2) tasks, up to the mailbox batch: they are
+  // the largest units of pending work, and handing over several at once
+  // amortizes the handshake and the promotion pauses.
+  unsigned Take = static_cast<unsigned>(
+      std::min<std::size_t>((K + 1) / 2, StealBatch));
   uint64_t PromotedBefore = Victim.Heap.Stats.PromoteBytes;
   // Tasks staged in Req->Stolen are rooted by nobody until the thief
   // sees Filled; this is safe because nothing between popForSteal() and
   // the Filled store below can collect -- promote() copies and at most
   // *requests* a global GC (which only runs at safe points, and the
-  // victim takes none inside this function). Within the budget, tasks
+  // victim takes none inside this function). Within the batch, tasks
   // hinted at the thief's node go first (popForSteal) so hinted work
   // chases its data.
   unsigned AffinityMatches = 0;
@@ -428,16 +311,9 @@ void Scheduler::sendStealChunk(VProc &Victim, StealRequest *Req,
     }
   }
   uint64_t EnvBytes = Victim.Heap.Stats.PromoteBytes - PromotedBefore;
-  Budget -= Take;
-  // Truncate the transfer when a global collection goes pending: every
-  // chunk the victim still owes is one more spin-wait the thief must
-  // clear before it can sit at the collection's barrier for long.
-  bool More = Budget > 0 && !RT.world().rendezvousRequested();
-  if (!More)
-    Budget = 0;
   Req->Count = Take;
-  Req->More = More;
 
+  ++Victim.SStats.BatchesServiced;
   Victim.SStats.TasksServiced += Take;
   Victim.SStats.StolenEnvBytes += EnvBytes;
   Victim.SStats.AffinityHandoffs += AffinityMatches;
@@ -446,126 +322,7 @@ void Scheduler::sendStealChunk(VProc &Victim, StealRequest *Req,
 
   // Handshake step 2: plain writes above, then the release store.
   Req->State.store(StealRequest::Filled, std::memory_order_release);
-}
-
-std::size_t Scheduler::nodeDepth(NodeId Node) const {
-  std::size_t Sum = 0;
-  for (unsigned V : NodeVProcs[Node])
-    Sum += RT.vproc(V).queueDepth();
-  return Sum;
-}
-
-NodeId Scheduler::pickShedTarget(VProc &VP) {
-  // A shed must make the imbalance better, not just move it: the target
-  // must have an *idle-ladder* parker (somebody there is idle now AND
-  // will claim the bay when rung -- a channel-blocked parker cannot run
-  // arbitrary tasks, so it does not count), and its total load -- board
-  // depth plus whatever already sits in its bay unclaimed -- must be
-  // well below ours.
-  std::size_t OwnDepth = VP.queueDepth();
-  NodeId Best = NoShedTarget;
-  std::size_t BestLoad = 0;
-  for (NodeId N : NodeOrder[VP.node()]) {
-    if (Lot.idleParkedOn(N) == 0)
-      continue;
-    std::size_t Load = nodeDepth(N) + Lot.shedDepth(N);
-    if (Load * 2 >= OwnDepth)
-      continue;
-    if (Best == NoShedTarget || Load < BestLoad) {
-      Best = N;
-      BestLoad = Load;
-    }
-  }
-  return Best;
-}
-
-bool Scheduler::maybeShed(VProc &VP) {
-  if (ShedThreshold == 0 || VP.queueDepth() < ShedThreshold)
-    return false;
-  NodeId Target = pickShedTarget(VP);
-  if (Target == NoShedTarget) {
-    ++VP.SStats.ShedTargetMisses;
-    return false;
-  }
-  unsigned Want = static_cast<unsigned>(std::min<std::size_t>(
-      (VP.queueDepth() + 1) / 2, MaxShedBatch));
-  Task Batch[MaxShedBatch];
-  unsigned Got = VP.popForShed(Target, Want, Batch);
-  if (Got == 0)
-    return false;
-  uint64_t PromotedBefore = VP.Heap.Stats.PromoteBytes;
-  for (unsigned I = 0; I < Got; ++I) {
-    if (RT.lazyPromotion()) {
-      // Same rule as the steal handshake: the tasks provably leave this
-      // vproc, so their environments leave its local heap now, copied
-      // out by the only thread allowed to (the owner). No safe point
-      // between the pop above and publishShed below, so the staged
-      // batch cannot be collected out from under us.
-      Batch[I].Env = VP.Heap.promote(Batch[I].Env);
-    }
-  }
-  uint64_t EnvBytes = VP.Heap.Stats.PromoteBytes - PromotedBefore;
-
-  // Push-side handshake: publish the batch in the target node's bay,
-  // *then* ring its doorbell -- the bay lock publishes the data, the
-  // ring only cuts a parked claimer's wait short (and the doorbell
-  // protocol's fence pairing plus the park-side bay re-check make the
-  // ring un-losable, same as every other ring site).
-  Lot.publishShed(Target, Batch, Got);
-  ringNode(VP, Target);
-
-  VP.SStats.TasksShed += Got;
-  ++VP.SStats.ShedBatches;
-  VP.SStats.ShedEnvBytes += EnvBytes;
-  if (EnvBytes > 0)
-    RT.world().traffic().record(VP.node(), Target, EnvBytes);
-  MANTI_DEBUG("sched", "vp%u shed %u task(s) to node %u", VP.id(), Got,
-              Target);
   return true;
-}
-
-bool Scheduler::claimShedFrom(VProc &VP, NodeId Node) {
-  if (Lot.shedDepth(Node) == 0)
-    return false;
-  Task Batch[StealRequest::MaxBatch];
-  unsigned Got = Lot.claimShed(Node, Batch, StealRequest::MaxBatch);
-  if (Got == 0)
-    return false;
-  // Queue the tail before running the head; no safe point between the
-  // claim and these enqueues (the batch is unrooted until it lands in
-  // the queue scan / runTask's scope).
-  for (unsigned I = 1; I < Got; ++I)
-    VP.enqueueStolen(Batch[I]);
-  VP.SStats.ShedTasksClaimed += Got;
-  ++VP.SStats.ShedClaims;
-  // Leftover backlog belongs to the bay's node; a multi-task claim is
-  // fresh work on this one. Ring so parked peers join in.
-  if (Lot.shedDepth(Node) > 0)
-    ringNode(VP, Node);
-  if (Got > 1)
-    ringNode(VP, VP.node());
-  MANTI_DEBUG("sched", "vp%u claimed %u shed task(s) from node %u",
-              VP.id(), Got, Node);
-  VP.runTask(Batch[0]);
-  return true;
-}
-
-bool Scheduler::claimShedAndRun(VProc &VP) {
-  if (claimShedFrom(VP, VP.node()))
-    return true;
-  // Bay work conservation: a batch shed toward a node whose vprocs all
-  // went busy (or blocked in channels) must not strand. Remote bays
-  // open up on the same terms as remote victims -- after one patience
-  // of empty-handed rounds -- so the bay's own node still gets first
-  // claim on its batches.
-  unsigned Patience =
-      Adaptive ? Backoff[VP.id()].Patience : RemotePatience;
-  if (Patience != 0 && Backoff[VP.id()].FailedRounds < Patience)
-    return false;
-  for (NodeId N : NodeOrder[VP.node()])
-    if (claimShedFrom(VP, N))
-      return true;
-  return false;
 }
 
 unsigned Scheduler::parkMicrosFor(unsigned Step) {
@@ -573,48 +330,22 @@ unsigned Scheduler::parkMicrosFor(unsigned Step) {
 }
 
 void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
-                             bool (*Pred)(void *), void *PredCtx,
-                             bool Claimable) {
-  if (!UseDoorbells) {
-    // Ladder baseline: a blind bounded sleep nobody can cut short.
-    auto Start = std::chrono::steady_clock::now();
-    std::this_thread::sleep_for(std::chrono::microseconds(Micros));
-    auto End = std::chrono::steady_clock::now();
-    if (RecordStats) {
-      ++VP.SStats.Parks;
-      VP.SStats.ParkNanos += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
-              .count());
-      ++VP.SStats.ParkTimeouts;
-    }
-    return;
-  }
-  // Doorbell park: snapshot the epochs, re-check every standing wake
-  // condition, then wait. Any ring that lands after the snapshot --
-  // including the global-GC broadcast -- makes the wait return
-  // immediately, so the conditions checked here can never be missed.
-  // Only claimable parkers (idle ladder, joinWait) register as
-  // shed-claim targets: targeting must not count a channel-blocked
-  // parker, which cannot run arbitrary tasks.
-  ParkLot::Token T = Lot.prepare(VP.node(), Claimable);
-  // Fence pairing with tryRing: in the seq_cst fence order, either this
+                             bool (*Pred)(void *), void *PredCtx) {
+  // Snapshot the epochs, re-check every standing wake condition, then
+  // wait. Any ring that lands after the snapshot -- including the
+  // global-GC broadcast -- makes the wait return immediately, so the
+  // conditions checked here can never be missed.
+  ParkLot::Token T = Lot.prepare(VP.node());
+  // Fence pairing with ringNode: in the seq_cst fence order, either this
   // fence precedes the ringer's (so the ringer's waiter-count load sees
   // prepare's increment and rings) or the ringer's precedes this one
   // (so the re-checks below see the condition its ring site published).
   // Either way a condition set concurrently with this park cannot be
   // missed, which is what lets blockOn use long ring-driven parks.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  // The shed-bay check applies only to claimable parks while a run is
-  // live: a channel-blocked vproc cannot run arbitrary tasks, so waking
-  // it for a bay batch would just burn its backstop, and the
-  // between-runs drain loops never claim (a leftover fire-and-forget
-  // batch waits for the next run, like leftover queue tasks do) so
-  // keeping them awake for one would spin them.
   if ((Pred && Pred(PredCtx)) ||
-      (Claimable && RT.schedulerActive() &&
-       Lot.shedDepth(VP.node()) != 0) ||
       VP.Mailbox.load(std::memory_order_acquire) != nullptr ||
-      VP.ActiveSteal != nullptr || RT.world().rendezvousRequested()) {
+      RT.world().rendezvousRequested()) {
     Lot.cancel(VP.node(), T);
     std::this_thread::yield();
     return;
@@ -646,18 +377,17 @@ void Scheduler::idleBackoff(VProc &VP, bool RecordStats, bool (*Pred)(void *),
     return; // spin rung: retry immediately, the caller's poll is the spin
   if (R <= SpinRounds + YieldRounds ||
       VP.Mailbox.load(std::memory_order_acquire) != nullptr ||
-      VP.ActiveSteal != nullptr || RT.world().rendezvousRequested()) {
-    // Yield rung -- also taken instead of parking whenever a thief, an
-    // in-flight chunked transfer, or a pending collection needs a
-    // prompt answer.
+      RT.world().rendezvousRequested()) {
+    // Yield rung -- also taken instead of parking whenever a thief or a
+    // pending collection needs a prompt answer.
     std::this_thread::yield();
     return;
   }
   doorbellPark(VP, parkMicrosFor(R - SpinRounds - YieldRounds - 1),
-               RecordStats, Pred, PredCtx, /*Claimable=*/true);
+               RecordStats, Pred, PredCtx);
 }
 
-bool Scheduler::tryRing(VProc &Ringer, NodeId Node) {
+bool Scheduler::ringNode(VProc &Ringer, NodeId Node) {
   ++Ringer.SStats.RingsSent;
   // Skip the epoch bump and futex when nobody is parked: the common
   // busy-system case stays a fence plus one atomic load. The fence
@@ -671,24 +401,16 @@ bool Scheduler::tryRing(VProc &Ringer, NodeId Node) {
   return false;
 }
 
-void Scheduler::ringNode(VProc &Ringer, NodeId Node) {
-  if (!UseDoorbells)
-    return;
-  tryRing(Ringer, Node);
-}
-
 void Scheduler::noteSpawn(VProc &VP, const Task &T) {
-  if (!UseDoorbells)
-    return;
   // A hinted task rings its data's node first ("tasks chase their
   // data"); with no hint the spawner's own node is the target.
   if (T.Affinity != Task::NoAffinity && T.Affinity != VP.node() &&
-      tryRing(VP, T.Affinity))
+      ringNode(VP, T.Affinity))
     return;
   // Hinted node saturated (or no hint): the task sits on *this* queue,
   // so parked local peers can steal it either way -- ring them rather
   // than leaving them to their backstops.
-  if (tryRing(VP, VP.node()))
+  if (ringNode(VP, VP.node()))
     return;
   // Local vprocs are all busy too. Once the queue runs deep enough that
   // this node cannot drain it alone, wake the nearest node with parked
@@ -697,7 +419,7 @@ void Scheduler::noteSpawn(VProc &VP, const Task &T) {
     return;
   for (NodeId Remote : NodeOrder[VP.node()]) {
     if (Lot.parkedOn(Remote) != 0) {
-      tryRing(VP, Remote);
+      ringNode(VP, Remote);
       return;
     }
   }
@@ -716,7 +438,7 @@ void Scheduler::blockOn(VProc &VP, bool (*Pred)(void *), void *Ctx,
   // Slow path: doorbell parks with the same growing bounded backstop as
   // the idle ladder. Every wake-up a channel block waits for has a ring
   // (hand-offs, Taken, steal requests, the GC broadcast) and the fence
-  // pairing in doorbellPark/tryRing means none can be missed, so the
+  // pairing in doorbellPark/ringNode means none can be missed, so the
   // backstop is purely a safety net; it is kept short anyway because on
   // an oversubscribed host a shallow sleep resumes faster than a deep
   // futex wake. poll() between parks keeps this vproc answering steal
@@ -724,8 +446,7 @@ void Scheduler::blockOn(VProc &VP, bool (*Pred)(void *), void *Ctx,
   unsigned Round = 0;
   while (!Pred(Ctx)) {
     VP.poll();
-    doorbellPark(VP, parkMicrosFor(Round++), RecordStats, Pred, Ctx,
-                 /*Claimable=*/false);
+    doorbellPark(VP, parkMicrosFor(Round++), RecordStats, Pred, Ctx);
   }
 }
 

@@ -6,7 +6,9 @@
 ///
 /// \file
 /// The scheduling policy layer, extracted from VProc/Runtime so every
-/// policy decision lives in one place:
+/// policy decision lives in one place. Load balancing is the paper's one
+/// mechanism: thieves steal, and the victim promotes each stolen
+/// environment lazily, at steal time.
 ///
 ///   * Victim selection walks a per-vproc *proximity order* precomputed
 ///     from the Topology: same-node vprocs form tier 0, then tiers of
@@ -17,53 +19,34 @@
 ///     promotion the stolen task performs later -- off the interconnect,
 ///     which is the paper's Section 2.1 locality argument applied to the
 ///     computation side. Farther tiers are *throttled*: a thief probes
-///     tier 0 every round, but tier k unlocks only after
-///     k * RuntimeConfig::RemoteStealPatience consecutive failed rounds,
-///     so when new work appears on a node that node's own vprocs claim
-///     it before the (far more numerous) remote thieves converge on it.
+///     tier 0 every round, but tier k unlocks only after k * patience
+///     consecutive failed rounds, so when new work appears on a node
+///     that node's own vprocs claim it before the (far more numerous)
+///     remote thieves converge on it.
 ///     RuntimeConfig::LocalStealFirst=false restores the uniform-random
 ///     victim of the ablation baseline.
 ///
-///   * Steals are *batched*: the victim hands over the oldest ceil(k/2)
-///     tasks and promotes all of their environments in one handshake, so
-///     one mailbox round trip amortizes several promotions. Under
-///     RuntimeConfig::StealHalf (the default) the ceil(k/2) transfer is
-///     unbounded -- the handshake moves it in mailbox-sized chunks
-///     (StealBatch tasks each), so one handshake can drain half of an
-///     arbitrarily deep queue; StealHalf=false restores the fixed
-///     per-handshake StealBatch cap as the ablation baseline.
+///   * The remote-steal patience *adapts*: each thief keeps a per-vproc
+///     patience, seeded from RuntimeConfig::RemoteStealPatience, and over
+///     windows of steal rounds halves it when almost every round comes
+///     back empty (reach farther, sooner) or doubles it when steals are
+///     reliably succeeding (stay near home), clamped to [8, 512].
+///     RemoteStealPatience = 0 unlocks every tier immediately, and then
+///     there is no throttle to adapt.
 ///
-///   * Load balancing is *two-sided*. Stealing is the pull side; the
-///     push side is victim-initiated shedding: a vproc whose queue depth
-///     crosses RuntimeConfig::ShedThreshold at spawn time consults the
-///     *load board* (per-node depth estimates aggregated from the
-///     vprocs' atomic queue-depth counters), picks the most-starved node
-///     that has parked vprocs, promotes a batch of up to ceil(depth/2)
-///     tasks (affinity-respecting: a task hinted at the local node is
-///     never shed while an un-hinted one exists), publishes it in the
-///     target node's ParkLot shed bay, and rings that node's doorbell.
-///     A woken (or otherwise idle) vproc claims the batch from its own
-///     node's bay before it tries to steal. ShedThreshold=0 disables the
-///     push side entirely (the ablation baseline): a skewed producer
-///     then rebalances only at remote-steal patience, exactly the gap
-///     shedding closes.
-///
-///   * The remote-steal patience itself is *adaptive* (default;
-///     RuntimeConfig::AdaptivePatience=false restores the fixed
-///     threshold): each thief keeps a per-vproc patience value, seeded
-///     from RemoteStealPatience, and over windows of steal rounds halves
-///     it when almost every round comes back empty (reach farther,
-///     sooner) or doubles it when steals are reliably succeeding (stay
-///     near home), clamped to [RemoteStealPatienceMin, Max].
+///   * Steals are *batched*: one handshake hands over the oldest
+///     min(ceil(k/2), StealBatch) tasks and promotes all of their
+///     environments at once, so one mailbox round trip amortizes several
+///     promotions.
 ///
 ///   * Idle vprocs descend a spin -> yield -> park ladder instead of
 ///     hammering victim mailboxes. The park rung is a *doorbell wait* in
 ///     the ParkLot: the vproc parks on its node's doorbell and is rung
 ///     awake by whoever produces work for it -- a spawner (on the
 ///     spawner's or the task's hinted node), a thief posting a steal
-///     request, a channel peer, or the global-GC trigger's broadcast.
-///     The bounded sleep (<= 256 us) remains only as a backstop, so a
-///     missed ring can never strand a vproc.
+///     request, a channel peer, a completing join, or the global-GC
+///     trigger's broadcast. The bounded sleep (<= 256 us) remains only as
+///     a backstop, so a missed ring can never strand a vproc.
 ///
 ///   * Spawns may carry a Task::Affinity node hint. noteSpawn rings the
 ///     hinted node (work chases its data), and steal handshakes hand
@@ -79,8 +62,6 @@
 /// sizes, failed rounds, park time, and doorbell traffic (rings sent /
 /// wasted, ring-to-wake latency); stolen-environment bytes are charged
 /// to the TrafficMatrix under (victim node -> thief node).
-/// RuntimeConfig::UseDoorbells = false restores the blind bounded-sleep
-/// ladder everywhere (the parking ablation baseline).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,28 +90,15 @@ public:
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
 
-  /// Effective chunk size (config clamped to [1, StealRequest::MaxBatch]);
-  /// with StealHalf off it is also the whole-handshake cap.
+  /// Effective per-handshake cap (config clamped to
+  /// [1, StealRequest::MaxBatch]).
   unsigned stealBatchLimit() const { return StealBatch; }
   bool localStealFirst() const { return LocalStealFirst; }
-  /// True when blocking sites use ParkLot doorbells (false = the blind
-  /// bounded-sleep ablation baseline).
-  bool doorbells() const { return UseDoorbells; }
-  /// True when one handshake may move ceil(k/2) tasks in chunks (false =
-  /// the fixed per-handshake StealBatch cap, the ablation baseline).
-  bool stealHalf() const { return StealHalf; }
-  /// Queue depth at which a spawning vproc tries to shed (0 = the push
-  /// side is disabled, the ablation baseline).
-  unsigned shedThreshold() const { return ShedThreshold; }
-  /// True when the remote-steal patience adapts to the observed steal
-  /// success rate.
-  bool adaptivePatience() const { return Adaptive; }
-  /// \p VProcId's current remote-steal patience (the fixed config value
-  /// unless AdaptivePatience moved it). Like the rest of the backoff
-  /// state this is owner-thread data: call it from the thread driving
-  /// that vproc (tests) or while the vprocs are quiescent.
+  /// \p VProcId's current remote-steal patience. Like the rest of the
+  /// backoff state this is owner-thread data: call it from the thread
+  /// driving that vproc (tests) or while the vprocs are quiescent.
   unsigned patienceOf(unsigned VProcId) const {
-    return Adaptive ? Backoff[VProcId].Patience : RemotePatience;
+    return Backoff[VProcId].Patience;
   }
 
   /// \p Thief's victim probe order: tiers of vproc ids, tier 0 holding
@@ -154,15 +122,11 @@ public:
   /// locally). \returns true if a task was executed.
   bool stealAndRun(VProc &Thief);
 
-  /// Victim side: continues an in-flight chunked transfer (sending the
-  /// next chunk once the thief has acked the last) or answers \p
-  /// Victim's pending steal request, popping and promoting a batch --
-  /// the first chunk of up to ceil(k/2) tasks under steal-half, with
-  /// the rest parked as an ActiveSteal continuation for later polls
-  /// (the victim never blocks mid-transfer). Runs on the victim's own
-  /// thread (a local heap may only be copied from by its owner).
-  /// \returns true if progress was made (a chunk sent, or a request
-  /// answered -- successfully or not).
+  /// Victim side: answers \p Victim's pending steal request, popping and
+  /// promoting a batch of up to min(ceil(k/2), StealBatch) tasks. Runs on
+  /// the victim's own thread (a local heap may only be copied from by its
+  /// owner). \returns true if a request was answered (successfully or
+  /// not).
   bool serviceSteal(VProc &Victim);
 
   /// One step of the idle ladder for \p VP: spin, then yield, then park
@@ -173,8 +137,7 @@ public:
   /// for aggregateStats() readers by then. A non-null \p Pred is an
   /// extra wake condition re-checked after the park's epoch snapshot
   /// (joinWait passes its counter's done()), so a targeted ring for it
-  /// can never be lost; the park stays claimable either way, since
-  /// idle-ladder callers can all run arbitrary tasks.
+  /// can never be lost.
   void idleBackoff(VProc &VP, bool RecordStats = true,
                    bool (*Pred)(void *) = nullptr, void *PredCtx = nullptr);
 
@@ -203,56 +166,9 @@ public:
                bool RecordStats = true);
 
   /// Rings \p Node's doorbell on \p Ringer's behalf (stats accounting),
-  /// skipping the futex when nobody is parked there. No-op in the
-  /// ladder-baseline mode.
-  void ringNode(VProc &Ringer, NodeId Node);
-
-  //===--------------------------------------------------------------------===//
-  // Load board and victim-initiated shedding
-  //===--------------------------------------------------------------------===//
-
-  /// Returned by pickShedTarget when no node qualifies.
-  static constexpr NodeId NoShedTarget = ~0u;
-
-  /// Load-board read: the summed queue-depth estimate of \p Node's
-  /// vprocs (each vproc's atomic depth counter, so this is safe from any
-  /// thread while the Runtime is alive -- see VProc::queueDepth for the
-  /// teardown protocol). A racy snapshot by construction; shed targeting
-  /// treats it as a heuristic.
-  std::size_t nodeDepth(NodeId Node) const;
-
-  /// Picks the node a shed from \p VP would target: among the *other*
-  /// vproc-hosting nodes that currently have parked vprocs, the one with
-  /// the smallest load (board depth + bay backlog), nearest first on
-  /// ties, and only if that load is genuinely starved relative to \p
-  /// VP's own queue (less than half of it). \returns NoShedTarget when
-  /// no node qualifies. Exposed for tests; maybeShed uses it.
-  NodeId pickShedTarget(VProc &VP);
-
-  /// Victim-initiated shedding, called by VProc::spawn after every push:
-  /// when \p VP's queue depth has reached ShedThreshold and a starved
-  /// parked node exists, pops up to min(ceil(depth/2), MaxShedBatch)
-  /// tasks (affinity-respecting, see VProc::popForShed), promotes their
-  /// environments, publishes them in the target's shed bay, and rings
-  /// the target's doorbell -- publish before ring, like every other ring
-  /// site. \returns true when a batch was shed.
-  bool maybeShed(VProc &VP);
-
-  /// Claim side: pops a batch from \p VP's own node's shed bay, queues
-  /// the tail locally, re-rings when backlog remains, and runs the
-  /// first task. Work conservation across bays: when the own bay is
-  /// empty and \p VP's failed steal rounds have already unlocked remote
-  /// stealing (one patience), unclaimed *remote* bays are claimed too,
-  /// nearest first, so a batch shed toward a node whose vprocs all went
-  /// busy or blocked can never strand. Called from the idle paths
-  /// (worker loop, joinWait) ahead of stealing; never from
-  /// blocked-channel waits, which must not run arbitrary tasks.
-  /// \returns true if a task was executed.
-  bool claimShedAndRun(VProc &VP);
-
-  /// The doorbells (exposed so Runtime can broadcast run-epoch and
-  /// termination turnovers).
-  ParkLot &parkLot() { return Lot; }
+  /// skipping the futex when nobody is parked there. \returns true when
+  /// a waiter was present.
+  bool ringNode(VProc &Ringer, NodeId Node);
 
   /// Sum of every vproc's SchedStats (call while vprocs are quiescent).
   SchedStats aggregateStats() const;
@@ -262,24 +178,8 @@ private:
   /// \returns true if a batch arrived and its first task was run.
   bool attemptSteal(VProc &Thief, VProc &Victim);
 
-  /// Sends the next chunk of \p Victim's ActiveSteal transfer if the
-  /// thief has acked the previous one. \returns true when a chunk went
-  /// out.
-  bool continueSteal(VProc &Victim);
-
-  /// Pops, promotes, and publishes one mailbox chunk of at most
-  /// min(\p Budget, StealBatch, queue depth) tasks on \p Req,
-  /// decrementing \p Budget (forced to 0 -- with an empty terminator
-  /// chunk if needed -- when the transfer must end).
-  void sendStealChunk(VProc &Victim, StealRequest *Req,
-                      std::size_t &Budget);
-
-  /// Claims from node \p Node's bay on \p VP's behalf (\p VP runs the
-  /// first task). \returns true if a task was executed.
-  bool claimShedFrom(VProc &VP, NodeId Node);
-
   /// Highest proximity tier (exclusive) the thief may currently probe:
-  /// tier k unlocks after k * RemotePatience consecutive failed rounds.
+  /// tier k unlocks after k * patience consecutive failed rounds.
   std::size_t tierLimit(const VProc &Thief) const;
 
   /// Walks \p Thief's proximity tiers up to \p TierLimit, probing each
@@ -294,23 +194,16 @@ private:
   /// non-null) *after* the epoch snapshot -- the re-check-after-prepare
   /// is what makes a racing ring unable to be lost -- then wait for at
   /// most \p Micros. Records park statistics on \p VP when
-  /// \p RecordStats. \p Claimable distinguishes parkers that can run
-  /// arbitrary tasks (the idle ladder, joinWait) from channel blocks:
-  /// only the former register as shed-claim targets and wake for bay
-  /// backlog.
+  /// \p RecordStats.
   void doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
-                    bool (*Pred)(void *), void *PredCtx, bool Claimable);
+                    bool (*Pred)(void *), void *PredCtx);
 
   /// Exponential park bound for ladder position \p Step.
   static unsigned parkMicrosFor(unsigned Step);
 
-  /// Stats-counted ring of \p Node: skips the futex when nobody is
-  /// parked there. \returns true when a waiter was present.
-  bool tryRing(VProc &Ringer, NodeId Node);
-
   /// One adaptive-patience sample (owner thread): account the round,
   /// and at each window boundary halve or double the patience from the
-  /// window's steal success rate, clamped to [PatienceMin, PatienceMax].
+  /// window's steal success rate, within [8, 512].
   void notePatienceSample(VProc &VP, bool Success);
 
   /// Each vproc's owner thread updates its own entry every idle round;
@@ -328,21 +221,13 @@ private:
   ParkLot &Lot;
   unsigned StealBatch;
   bool LocalStealFirst;
-  bool UseDoorbells;
-  bool StealHalf;
+  /// RuntimeConfig::RemoteStealPatience; 0 = no remote throttle.
   unsigned RemotePatience;
-  bool Adaptive;
-  unsigned PatienceMin;
-  unsigned PatienceMax;
-  unsigned ShedThreshold;
   /// Proximity[v][tier] = vproc ids at that distance from vproc v.
   std::vector<std::vector<std::vector<unsigned>>> Proximity;
   /// NodeOrder[n] = the other nodes hosting vprocs, nearest first (ring
   /// escalation order).
   std::vector<std::vector<NodeId>> NodeOrder;
-  /// NodeVProcs[n] = the vproc ids hosted on node n (the load board's
-  /// aggregation lists).
-  std::vector<std::vector<unsigned>> NodeVProcs;
   /// Owner-thread-only ladder state, indexed by vproc id.
   std::vector<BackoffState> Backoff;
 };

@@ -57,10 +57,8 @@ struct Task {
   /// node first (a soft preference -- work conservation always wins),
   /// spawn rings the hinted node's doorbell so its parked vprocs come
   /// and claim the task, and the hint rides along through every
-  /// migration: a shed batch prefers tasks hinted at its target and a
-  /// task hinted at its current node is never shed away while an
-  /// un-hinted one could go instead (VProc::popForShed). NoAffinity
-  /// leaves all of these decisions to the default locality policy.
+  /// steal. NoAffinity leaves these decisions to the default locality
+  /// policy.
   NodeId Affinity = NoAffinity;
 };
 

@@ -31,10 +31,6 @@ void VProc::spawn(Task T) {
   // New work is a wake-up event: ring the hinted node (or this one) so
   // parked vprocs come and steal instead of running out their backstop.
   RT.scheduler().noteSpawn(*this, T);
-  // Deep queue + a starved node = push work instead of waiting for
-  // remote-steal patience to expire (no-op while ShedThreshold = 0 or
-  // nobody remote is parked).
-  RT.scheduler().maybeShed(*this);
 }
 
 bool VProc::runOneLocal() {
@@ -52,31 +48,29 @@ void VProc::enqueueStolen(Task T) {
   Depth.store(ReadyQ.size(), std::memory_order_relaxed);
 }
 
-namespace {
-
-/// Shared owner-thread pop machinery for the two migration channels
-/// (steal handshake and shed batch): ranks the oldest `4 * MaxN` tasks
-/// of \p Q into preference classes (0 = most preferred; \p ClassOf maps
-/// an affinity hint to [0, NumClasses)), pops up to \p Take of them in
-/// class-then-age order into \p Out, and refreshes the cross-thread
-/// depth counter. Indices within a class stay ascending, preserving
-/// oldest-first inside each preference class; erasure runs
-/// highest-index-first so the remaining indices stay valid, and all
-/// indices are near the front, so each erase shifts at most the scan
-/// window. \returns the task count; \p Class0Picks (when non-null)
-/// receives how many came from class 0.
-template <unsigned MaxN, int NumClasses, typename ClassFnT>
-unsigned popRanked(std::deque<Task> &Q, std::atomic<std::size_t> &Depth,
-                   unsigned Take, Task *Out, ClassFnT ClassOf,
-                   unsigned *Class0Picks = nullptr) {
-  constexpr std::size_t ScanWindow = 4 * MaxN;
-  std::size_t Window = std::min<std::size_t>(Q.size(), ScanWindow);
-  std::size_t Picked[MaxN];
+unsigned VProc::popForSteal(NodeId ThiefNode, unsigned Max, Task *Out,
+                            unsigned *AffinityMatches) {
+  std::size_t K = ReadyQ.size();
+  MANTI_CHECK(K > 0 && Max > 0 && Max <= StealRequest::MaxBatch,
+              "popForSteal needs a non-empty queue and a batch-sized Max");
+  unsigned Take = static_cast<unsigned>(std::min<std::size_t>(Max, K));
+  // Rank the oldest tasks into preference classes: hinted-at-the-thief
+  // first, then unhinted, then hinted-elsewhere (those would rather
+  // stay, but a starved thief still gets them). Indices within a class
+  // stay ascending, preserving oldest-first inside each class; scanning
+  // only a bounded window keeps a deep queue from making a handshake
+  // O(queue).
+  auto ClassOf = [ThiefNode](NodeId Hint) {
+    return Hint == ThiefNode ? 0 : (Hint == Task::NoAffinity ? 1 : 2);
+  };
+  constexpr std::size_t ScanWindow = 4 * StealRequest::MaxBatch;
+  std::size_t Window = std::min<std::size_t>(K, ScanWindow);
+  std::size_t Picked[StealRequest::MaxBatch];
   unsigned N = 0;
   unsigned Matches = 0;
-  for (int Class = 0; Class < NumClasses && N < Take; ++Class) {
+  for (int Class = 0; Class < 3 && N < Take; ++Class) {
     for (std::size_t I = 0; I < Window && N < Take; ++I) {
-      if (ClassOf(Q[I].Affinity) != Class)
+      if (ClassOf(ReadyQ[I].Affinity) != Class)
         continue; // each index belongs to exactly one class
       Picked[N++] = I;
       if (Class == 0)
@@ -84,55 +78,16 @@ unsigned popRanked(std::deque<Task> &Q, std::atomic<std::size_t> &Depth,
     }
   }
   for (unsigned I = 0; I < N; ++I)
-    Out[I] = Q[Picked[I]];
-  std::size_t Sorted[MaxN];
-  std::copy(Picked, Picked + N, Sorted);
-  std::sort(Sorted, Sorted + N);
+    Out[I] = ReadyQ[Picked[I]];
+  // Erase highest-index-first so the remaining indices stay valid; all
+  // indices are near the front, so each erase shifts at most the window.
+  std::sort(Picked, Picked + N);
   for (unsigned I = N; I-- > 0;)
-    Q.erase(Q.begin() + static_cast<std::ptrdiff_t>(Sorted[I]));
-  Depth.store(Q.size(), std::memory_order_relaxed);
-  if (Class0Picks)
-    *Class0Picks = Matches;
+    ReadyQ.erase(ReadyQ.begin() + static_cast<std::ptrdiff_t>(Picked[I]));
+  Depth.store(ReadyQ.size(), std::memory_order_relaxed);
+  if (AffinityMatches)
+    *AffinityMatches = Matches;
   return N;
-}
-
-} // namespace
-
-unsigned VProc::popForSteal(NodeId ThiefNode, unsigned Max, Task *Out,
-                            unsigned *AffinityMatches) {
-  std::size_t K = ReadyQ.size();
-  MANTI_CHECK(K > 0 && Max > 0 && Max <= StealRequest::MaxBatch,
-              "popForSteal needs a non-empty queue and a batch-sized Max");
-  unsigned Take = static_cast<unsigned>(std::min<std::size_t>(Max, K));
-  // Hinted-at-the-thief first, then unhinted, then hinted-elsewhere
-  // (those would rather stay, but a starved thief still gets them).
-  return popRanked<StealRequest::MaxBatch, 3>(
-      ReadyQ, Depth, Take, Out,
-      [ThiefNode](NodeId Hint) {
-        return Hint == ThiefNode ? 0 : (Hint == Task::NoAffinity ? 1 : 2);
-      },
-      AffinityMatches);
-}
-
-unsigned VProc::popForShed(NodeId TargetNode, unsigned Max, Task *Out) {
-  std::size_t K = ReadyQ.size();
-  MANTI_CHECK(K > 0 && Max > 0 && Max <= MaxShedBatch,
-              "popForShed needs a non-empty queue and a shed-sized Max");
-  unsigned Take = static_cast<unsigned>(std::min<std::size_t>(Max, K));
-  const NodeId Local = node();
-  // Hinted at the target (they *want* to move there), un-hinted, hinted
-  // at some other remote node, and -- only when nothing else is
-  // available -- tasks hinted at this very node: shedding a
-  // locally-hinted task while an un-hinted one sits in the queue would
-  // ship data-chasing work away from its data, so the class order
-  // forbids it.
-  return popRanked<MaxShedBatch, 4>(
-      ReadyQ, Depth, Take, Out, [TargetNode, Local](NodeId Hint) {
-        return Hint == TargetNode         ? 0
-               : Hint == Task::NoAffinity ? 1
-               : Hint == Local            ? 3
-                                          : 2;
-      });
 }
 
 void VProc::runTask(Task T) {
@@ -160,18 +115,15 @@ void JoinCounter::sub(int64_t N) {
     return;
   if (!W)
     return;
-  Scheduler &Sched = W->runtime().scheduler();
-  if (!Sched.doorbells())
-    return;
   // Ring-site fence discipline (pairs with doorbellPark's fence, see
-  // tryRing): the completion was published by the fetch_sub above; the
-  // fence orders it before the waiter-count load, so a joiner parking
-  // concurrently either sees done() in its pre-park re-check or its
-  // prepare() is visible here and the ring lands. No stats bump: the
+  // Scheduler::ringNode): the completion was published by the fetch_sub
+  // above; the fence orders it before the waiter-count load, so a joiner
+  // parking concurrently either sees done() in its pre-park re-check or
+  // its prepare() is visible here and the ring lands. No stats bump: the
   // SchedStats ring counters are owner-thread-only, and sub() runs on
   // whichever vproc finished the subtask.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  ParkLot &Lot = Sched.parkLot();
+  ParkLot &Lot = W->runtime().parkLot();
   if (Lot.parkedOn(W->node()) != 0)
     Lot.ring(W->node());
 }
@@ -190,12 +142,6 @@ void VProc::joinWait(JoinCounter &Join) {
     poll();
     if (Join.done())
       break;
-    // Shed batches parked in this node's bay are nearer than anything a
-    // steal could fetch; claim them before probing victims.
-    if (Sched.claimShedAndRun(*this)) {
-      Sched.noteProgress(*this);
-      continue;
-    }
     if (stealAndRun()) {
       Sched.noteProgress(*this);
       continue;

@@ -45,12 +45,10 @@ class Scheduler;
 
 /// One steal-handshake mailbox message. Each vproc owns exactly one
 /// request object for the steals *it* initiates, so a request carries a
-/// whole batch: the victim hands over the oldest ceil(k/2) tasks and
-/// promotes their environments in one go, amortizing the handshake and
-/// the promotion pauses. Under RuntimeConfig::StealHalf the ceil(k/2)
-/// transfer is *unbounded*: one handshake moves it in mailbox-sized
-/// chunks (see step 4); the fixed-batch baseline caps the whole transfer
-/// at RuntimeConfig::StealBatch in a single chunk.
+/// whole batch: the victim hands over the oldest
+/// min(ceil(k/2), RuntimeConfig::StealBatch) tasks and promotes their
+/// environments in one go, amortizing the handshake and the promotion
+/// pauses.
 ///
 /// Memory ordering of the handshake (the full release/acquire story; the
 /// regression test SchedulerTest.HandshakeHammer exercises it under
@@ -60,53 +58,32 @@ class Scheduler;
 ///     publishes the request with a CAS on the victim's Mailbox
 ///     (acq_rel). The victim's Mailbox load(acquire) therefore sees both
 ///     fields.
-///  2. The victim writes Stolen[0..Count), Count, and More as plain
-///     stores, clears the mailbox, and only then stores State=Filled
-///     (release). The thief spins on State with load(acquire); observing
-///     Filled forms a release/acquire edge, so every Stolen/Count/More
-///     write happens-before the thief's reads. No additional fence is
-///     needed: the State pair is the fence.
-///  3. The thief consumes the batch. If More is false the transfer is
-///     over: it stores State=Idle (release) so its plain clears of
-///     Stolen[] happen-before the *next* victim's reads, which are
-///     ordered after the next Mailbox CAS (step 1).
-///  4. If More is true (steal-half, mid-transfer) the thief instead
-///     stores State=Consumed (release). The victim NEVER blocks waiting
-///     for that ack -- it parks the transfer in its ActiveSteal
-///     continuation and sends the next chunk from a later poll, once its
-///     load(acquire) of Consumed orders the thief's consumption before
-///     the next chunk's plain Stolen[] writes; the protocol then repeats
-///     from step 2. (A blocking wait here could cycle: in a ring of
-///     mutual steals every party would be a victim waiting on a thief
-///     that is itself stuck in its own victim wait.) The thief keeps
-///     taking safe points between chunks, so a global collection
-///     requested mid-transfer cannot deadlock: the in-flight chunk is
-///     rooted by the thief's root enumeration (which scans
-///     Stolen[0..Count) whenever State == Filled), the not-yet-popped
-///     remainder by the victim's queue scan, and the victim truncates
-///     the transfer when a collection goes pending. Because the victim
-///     may run (or lose to other thieves) its own queue between chunks,
-///     a transfer can close with an *empty terminator* chunk
-///     (Count == 0, More == false) after a More == true promise; the
-///     first chunk of a handshake is never empty.
+///  2. The victim clears the mailbox, writes Stolen[0..Count) and Count
+///     as plain stores, and only then stores State=Filled (release), or
+///     State=Failed when its queue is empty. The thief spins on State
+///     with load(acquire); observing Filled forms a release/acquire edge,
+///     so every Stolen/Count write happens-before the thief's reads. No
+///     additional fence is needed: the State pair is the fence.
+///  3. The thief consumes the batch and stores State=Idle (release), so
+///     its plain clears of Stolen[] happen-before the *next* victim's
+///     reads, which are ordered after the next Mailbox CAS (step 1).
+///
+/// The thief keeps taking safe points while it waits, so a global
+/// collection requested mid-handshake cannot deadlock: a filled batch is
+/// rooted by the thief's root enumeration (which scans Stolen[0..Count)
+/// whenever State == Filled), and the victim fills it without taking a
+/// safe point in between.
 struct StealRequest {
-  /// Hard cap on tasks per mailbox chunk (RuntimeConfig::StealBatch is
+  /// Hard cap on tasks per handshake (RuntimeConfig::StealBatch is
   /// clamped to this).
   static constexpr unsigned MaxBatch = 8;
 
-  enum StateKind : int { Idle, Posted, Filled, Failed, Consumed };
+  enum StateKind : int { Idle, Posted, Filled, Failed };
   std::atomic<int> State{Idle};
   NodeId ThiefNode = 0;      ///< written by the thief before posting
   unsigned Count = 0;        ///< valid when State == Filled
-  bool More = false;         ///< valid when State == Filled: another chunk
-                             ///< follows after the thief stores Consumed
   Task Stolen[MaxBatch];     ///< valid when State == Filled; Envs promoted
 };
-
-/// Hard cap on tasks per shed publication (the push-side analogue of
-/// StealRequest::MaxBatch; sized so one shed can rebalance half of a
-/// queue twice the default RuntimeConfig::ShedThreshold).
-inline constexpr unsigned MaxShedBatch = 16;
 
 class VProc {
 public:
@@ -162,30 +139,13 @@ public:
   unsigned popForSteal(NodeId ThiefNode, unsigned Max, Task *Out,
                        unsigned *AffinityMatches = nullptr);
 
-  /// Owner-thread pop of up to \p Max tasks from the steal (oldest) end
-  /// for a *shed* to \p TargetNode, written to \p Out. Affinity ranking
-  /// differs from popForSteal in one way that matters: tasks hinted at
-  /// THIS vproc's node are shed last -- never while an un-hinted task
-  /// exists -- because shedding a task away from its data defeats the
-  /// point of the hint. Order: hinted-at-target, un-hinted, hinted at
-  /// some other remote node, hinted-local; oldest first within each
-  /// class. \returns the task count.
-  unsigned popForShed(NodeId TargetNode, unsigned Max, Task *Out);
-
   /// Number of tasks currently in the local queue. Safe to call from any
   /// thread: reads a depth counter the owner maintains at push/pop
   /// instead of touching the deque (which only the owner may do). The
-  /// value is a snapshot -- victim selection and the scheduler's load
-  /// board treat it as a load heuristic, nothing more.
-  ///
-  /// Lifetime protocol for cross-thread readers (the load board, shed
-  /// targeting, tests): a VProc may be read for exactly as long as its
-  /// Runtime is alive. ~Runtime joins every worker thread *before* any
-  /// VProc is destroyed, so scheduler-internal readers (including the
-  /// drain loops between runs) can never touch a dead vproc; external
-  /// readers must not outlive the Runtime object, same as any other
-  /// accessor on it. SchedulerTest.LoadBoardTeardownHammer runs this
-  /// protocol under TSan across run()/drain boundaries.
+  /// value is a snapshot -- victim selection treats it as a load
+  /// heuristic, nothing more. Cross-thread readers may read it for
+  /// exactly as long as the Runtime is alive: ~Runtime joins every worker
+  /// thread *before* any VProc is destroyed.
   std::size_t queueDepth() const {
     return Depth.load(std::memory_order_relaxed);
   }
@@ -237,14 +197,6 @@ private:
   std::atomic<std::size_t> Depth{0};   ///< ReadyQ.size(), cross-thread view
   std::atomic<StealRequest *> Mailbox{nullptr}; ///< posted by thieves
   StealRequest MyRequest;              ///< used when this vproc steals
-  /// Owner-only continuation of an in-flight chunked (steal-half)
-  /// transfer this vproc is servicing as the victim: the request whose
-  /// thief owes a Consumed ack, and the tasks still promised. The next
-  /// chunk goes out from serviceSteal at a later poll; the idle ladder
-  /// yields instead of parking while a transfer is open so the thief is
-  /// never left waiting on a park backstop.
-  StealRequest *ActiveSteal = nullptr;
-  std::size_t ActiveStealBudget = 0;
   std::vector<ResultCell *> Cells;     ///< live result cells we own
   XorShift64 Rng;
 

@@ -11,10 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
+
+#include <dirent.h>
+#include <sched.h>
 
 using namespace manti;
 using namespace manti::test;
@@ -52,6 +58,56 @@ TEST(Runtime, VProcsAssignedSparsely) {
   // 4 vprocs on 4 nodes: one per node.
   for (unsigned I = 0; I < 4; ++I)
     EXPECT_EQ(RT.vproc(I).node(), I);
+}
+
+TEST(Runtime, RecordedTopologyPinsVProcsOnDistinctCpus) {
+  // intelXeon32's sparse assignment puts 8 vprocs on cores 0, 8, 16,
+  // 24, 1, 9, 17, 25, whose ids share residues mod small host cpu
+  // counts; pinning must still spread them over min(8, host cpus)
+  // distinct cpus.
+  unsigned HostCpus = std::thread::hardware_concurrency();
+  ASSERT_GT(HostCpus, 0u);
+  cpu_set_t Allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Allowed), &Allowed), 0);
+  for (unsigned C = 0; C < HostCpus && C < 8; ++C)
+    if (!CPU_ISSET(C, &Allowed))
+      GTEST_SKIP() << "cpu " << C << " outside the allowed set";
+  cpu_set_t Probe;
+  CPU_ZERO(&Probe);
+  CPU_SET(0, &Probe);
+  if (sched_setaffinity(0, sizeof(Probe), &Probe) != 0)
+    GTEST_SKIP() << "host forbids thread affinity changes";
+  ASSERT_EQ(sched_setaffinity(0, sizeof(Allowed), &Allowed), 0);
+
+  RuntimeConfig Cfg = testRuntimeConfig(8);
+  Cfg.PinThreads = true;
+  Runtime RT(Cfg, Topology::intelXeon32());
+  // run() returns only after every worker checked in from its loop,
+  // which each enters after pinning itself.
+  RT.run([](Runtime &, VProc &, void *) {}, nullptr);
+
+  // Every thread of this process that is pinned to a single cpu is a
+  // vproc (the caller's thread is vproc 0; the workers are the rest).
+  std::set<int> Cpus;
+  unsigned Pinned = 0;
+  DIR *Tasks = opendir("/proc/self/task");
+  ASSERT_NE(Tasks, nullptr);
+  while (dirent *E = readdir(Tasks)) {
+    if (E->d_name[0] == '.')
+      continue;
+    cpu_set_t Mask;
+    if (sched_getaffinity(std::atoi(E->d_name), sizeof(Mask), &Mask) != 0 ||
+        CPU_COUNT(&Mask) != 1)
+      continue;
+    ++Pinned;
+    for (int C = 0; C < CPU_SETSIZE; ++C)
+      if (CPU_ISSET(C, &Mask))
+        Cpus.insert(C);
+  }
+  closedir(Tasks);
+  EXPECT_EQ(Pinned, 8u) << "every vproc thread must be pinned";
+  EXPECT_EQ(Cpus.size(), std::min(8u, HostCpus))
+      << "vprocs must spread over the host's cpus";
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
@@ -189,12 +245,7 @@ TEST(ParallelReduce, BuildsValueTree) {
 }
 
 TEST(WorkStealing, StealsHappenAcrossVProcs) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  // This test pins the steal channel: with shedding on, part of the
-  // burst would (correctly) migrate through the shed bay instead and
-  // never count as stolen.
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
+  Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
   static std::atomic<int> Remaining;
   Remaining = 40;
   RT.run(
@@ -322,10 +373,7 @@ TEST(WorkStealing, LazyPromotesAtMostStolenTasks) {
   uint64_t Promotions = 0, Migrations = 0;
   for (unsigned I = 0; I < RT.numVProcs(); ++I) {
     Promotions += RT.world().heap(I).Stats.PromoteCalls;
-    // Both migration channels promote: the steal handshake and the
-    // victim-initiated shed path.
     Migrations += RT.vproc(I).stealsServiced();
-    Migrations += RT.vproc(I).schedStats().TasksShed;
   }
   EXPECT_LE(Promotions, Migrations)
       << "lazy promotion pays only for tasks that actually migrate";

@@ -6,9 +6,10 @@
 // LocalStealFirst ablation knob, steal batching, the cross-thread queue
 // depth counter, the idle ladder's park accounting, the ParkLot
 // doorbells (node-exact rings, broadcast, and the ring-vs-park race),
-// spawn affinity routing, and a steal handshake hammer (the regression
-// test for the StealRequest release/acquire protocol; CI runs this
-// binary under ThreadSanitizer).
+// spawn affinity routing, a steal handshake hammer (the regression test
+// for the StealRequest release/acquire protocol; CI runs this binary
+// under ThreadSanitizer), adaptive remote-steal patience, and cross-node
+// rebalancing by stealing alone.
 //
 //===----------------------------------------------------------------------===//
 
@@ -215,9 +216,6 @@ TEST(Scheduler, QueueDepthReadableFromOtherThreads) {
 TEST(Scheduler, BatchSizeOneRestoresSingleTaskSteals) {
   RuntimeConfig Cfg = testRuntimeConfig(4);
   Cfg.StealBatch = 1;
-  // This test pins the PR 2 fixed-batch baseline: with steal-half a
-  // single handshake would legitimately move several chunks of one.
-  Cfg.StealHalf = false;
   Runtime RT(Cfg, Topology::uniform(2, 2));
   static std::atomic<int> Remaining;
   Remaining = 60;
@@ -241,11 +239,6 @@ TEST(Scheduler, BatchSizeOneRestoresSingleTaskSteals) {
 TEST(Scheduler, BatchesRespectTheConfiguredCap) {
   RuntimeConfig Cfg = testRuntimeConfig(4);
   Cfg.StealBatch = 3;
-  // Fixed-batch baseline: StealBatch caps the whole handshake (under
-  // steal-half it is only the chunk size). Shedding off so every
-  // migration goes through the capped handshake under test.
-  Cfg.StealHalf = false;
-  Cfg.ShedThreshold = 0;
   Runtime RT(Cfg, Topology::uniform(2, 2));
   EXPECT_EQ(RT.scheduler().stealBatchLimit(), 3u);
   static std::atomic<int> Remaining;
@@ -412,29 +405,6 @@ TEST(Scheduler, SpawnRingsDoorbellsAndWorkCompletes) {
   EXPECT_GT(S.Parks, 0u);
 }
 
-TEST(Scheduler, LadderBaselineDisablesRings) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.UseDoorbells = false;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  EXPECT_FALSE(RT.scheduler().doorbells());
-  static std::atomic<int64_t> Sum;
-  Sum = 0;
-  RT.run(
-      [](Runtime &RT, VProc &VP, void *) {
-        parallelFor(
-            RT, VP, 0, 512, 4,
-            [](Runtime &, VProc &, int64_t Lo, int64_t Hi, void *) {
-              Sum.fetch_add(Hi - Lo);
-            },
-            nullptr);
-      },
-      nullptr);
-  EXPECT_EQ(Sum.load(), 512);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.RingsSent, 0u) << "the ladder baseline never rings";
-  EXPECT_EQ(S.RingWakeups, 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Spawn affinity
 //===----------------------------------------------------------------------===//
@@ -524,11 +494,6 @@ TEST(Scheduler, HandshakeHammer) {
   // documented on StealRequest are exactly what TSan checks here.
   RuntimeConfig Cfg = testRuntimeConfig(8);
   Cfg.StealBatch = 4;
-  // Keep every migration on the steal path: a shed parent would not
-  // count toward TasksStolen and break the >= Parents assertion below.
-  // (Steal-half stays on, so the deep spawner queue exercises the
-  // chunked Filled/Consumed protocol under TSan.)
-  Cfg.ShedThreshold = 0;
   Runtime RT(Cfg, Topology::uniform(4, 2));
 
   constexpr int Parents = 250, Children = 3;
@@ -577,211 +542,17 @@ TEST(Scheduler, HandshakeHammer) {
 }
 
 //===----------------------------------------------------------------------===//
-// Load balancing: steal-half, victim-initiated shedding, adaptive
-// patience (the rebalance tests; run under TSan in CI)
+// Load balancing: adaptive patience and cross-node stealing (run under
+// TSan in CI)
 //===----------------------------------------------------------------------===//
 
-TEST(Rebalance, StealHalfDrainsDeepQueueInChunks) {
-  // One handshake against a deep queue must move ceil(k/2) tasks in
-  // several mailbox chunks. Deterministic setup: load vproc 2 (the
-  // thief's node-0 peer on uniform(2,2)) between runs, then drive one
-  // stealAndRun from the test thread as vproc 0; vproc 2's worker
-  // answers from its drain poll loop.
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.StealBatch = 4;
-  Cfg.ShedThreshold = 0; // the spawns below must stay on vproc 2
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ASSERT_EQ(RT.vproc(2).node(), RT.vproc(0).node());
-  ASSERT_TRUE(RT.scheduler().stealHalf());
-
-  constexpr unsigned Deep = 40;
-  for (unsigned I = 0; I < Deep; ++I)
-    RT.vproc(2).spawn(trivialTask());
-  ASSERT_EQ(RT.vproc(2).queueDepth(), Deep);
-
-  ASSERT_TRUE(RT.scheduler().stealAndRun(RT.vproc(0)));
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.StealBatches, 1u);
-  EXPECT_EQ(S.TasksStolen, (Deep + 1) / 2)
-      << "steal-half must move half the queue through one handshake";
-  EXPECT_EQ(S.StealChunks, (S.TasksStolen + 3) / 4)
-      << "the transfer must arrive in StealBatch-sized chunks";
-  EXPECT_EQ(RT.vproc(2).queueDepth(), Deep - S.TasksStolen);
-  // One stolen task ran, the rest landed on the thief's queue.
-  EXPECT_EQ(RT.vproc(0).queueDepth(), S.TasksStolen - 1);
-}
-
-TEST(Rebalance, FixedBatchBaselineCapsTheHandshake) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.StealBatch = 4;
-  Cfg.StealHalf = false;
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  for (unsigned I = 0; I < 40; ++I)
-    RT.vproc(2).spawn(trivialTask());
-  ASSERT_TRUE(RT.scheduler().stealAndRun(RT.vproc(0)));
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.TasksStolen, 4u);
-  EXPECT_EQ(S.StealChunks, 1u);
-  EXPECT_EQ(S.StealBatches, 1u);
-}
-
-TEST(Rebalance, LoadBoardAggregatesPerNodeDepth) {
-  // uniform(2, 2), 4 vprocs: 0/2 on node 0, 1/3 on node 1.
-  Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
-  Scheduler &Sched = RT.scheduler();
-  EXPECT_EQ(Sched.nodeDepth(0), 0u);
-  EXPECT_EQ(Sched.nodeDepth(1), 0u);
-  for (int I = 0; I < 3; ++I)
-    RT.vproc(0).spawn(trivialTask());
-  for (int I = 0; I < 2; ++I)
-    RT.vproc(2).spawn(trivialTask());
-  for (int I = 0; I < 5; ++I)
-    RT.vproc(1).spawn(trivialTask());
-  EXPECT_EQ(Sched.nodeDepth(0), 5u) << "node 0 = vproc 0 + vproc 2";
-  EXPECT_EQ(Sched.nodeDepth(1), 5u) << "node 1 = vproc 1";
-  while (RT.vproc(0).runOneLocal() || RT.vproc(1).runOneLocal() ||
-         RT.vproc(2).runOneLocal())
-    ;
-  EXPECT_EQ(Sched.nodeDepth(0), 0u);
-  EXPECT_EQ(Sched.nodeDepth(1), 0u);
-}
-
-TEST(Rebalance, NeverShedsBelowThreshold) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 8;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ParkLot &Lot = RT.parkLot();
-  // Force node 1 to look parked and starved (a registered waiter that
-  // never sleeps), so the *only* thing gating a shed is the threshold.
-  ParkLot::Token FakeWaiter = Lot.prepare(1);
-  for (int I = 0; I < 7; ++I)
-    RT.vproc(0).spawn(trivialTask());
-  EXPECT_EQ(RT.vproc(0).schedStats().TasksShed, 0u)
-      << "a queue below ShedThreshold must never shed";
-  EXPECT_EQ(Lot.shedDepth(1), 0u);
-  // The eighth spawn crosses the threshold: ceil(8/2) tasks move.
-  RT.vproc(0).spawn(trivialTask());
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.ShedBatches, 1u);
-  EXPECT_EQ(S.TasksShed, 4u);
-  EXPECT_EQ(Lot.shedDepth(1), 4u);
-  EXPECT_EQ(RT.vproc(0).queueDepth(), 4u);
-  Lot.cancel(1, FakeWaiter);
-  // Drain the bay from a node-1 vproc so nothing leaks into teardown
-  // accounting (claims are an owner-thread operation; vproc 1's worker
-  // is drain-idling and never claims between runs).
-  while (RT.scheduler().claimShedAndRun(RT.vproc(1)))
-    ;
-  while (RT.vproc(1).runOneLocal())
-    ;
-  EXPECT_EQ(Lot.shedDepth(1), 0u);
-  EXPECT_EQ(RT.vproc(1).schedStats().ShedTasksClaimed, 4u);
-}
-
-TEST(Rebalance, ShedThresholdZeroDisablesShedding) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ParkLot::Token FakeWaiter = RT.parkLot().prepare(1);
-  for (int I = 0; I < 64; ++I)
-    RT.vproc(0).spawn(trivialTask());
-  RT.parkLot().cancel(1, FakeWaiter);
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.TasksShed, 0u);
-  EXPECT_EQ(S.ShedBatches, 0u);
-  EXPECT_EQ(S.ShedTargetMisses, 0u) << "threshold 0 never even looks";
-  EXPECT_EQ(RT.parkLot().shedDepth(1), 0u);
-  while (RT.vproc(0).runOneLocal())
-    ;
-}
-
-TEST(Rebalance, ShedRespectsAffinityHints) {
-  // popForShed's class order: hinted-at-target, un-hinted, hinted at
-  // some other remote node, and hinted-local strictly last.
-  Runtime RT(testRuntimeConfig(8), Topology::uniform(4, 2));
-  VProc &VP = RT.vproc(0);
-  ASSERT_EQ(VP.node(), 0u);
-
-  const NodeId Hints[8] = {0,  Task::NoAffinity, 2, 1,
-                           0,  Task::NoAffinity, 3, 1};
-  for (int I = 0; I < 8; ++I) {
-    Task T = trivialTask();
-    T.A = I;
-    T.Affinity = Hints[I];
-    VP.spawn(T);
-  }
-
-  // Shed 4 to node 1: both node-1-hinted tasks first, then the two
-  // un-hinted ones -- and NOT the node-0-hinted tasks, which sit ahead
-  // of them in queue order.
-  Task Out[MaxShedBatch];
-  unsigned Got = VP.popForShed(/*TargetNode=*/1, 4, Out);
-  ASSERT_EQ(Got, 4u);
-  EXPECT_EQ(Out[0].A, 3); // hinted at target, oldest
-  EXPECT_EQ(Out[1].A, 7); // hinted at target
-  EXPECT_EQ(Out[2].A, 1); // un-hinted, oldest
-  EXPECT_EQ(Out[3].A, 5); // un-hinted
-
-  // Next shed: other-remote-hinted (nodes 2, 3) go before local-hinted.
-  Got = VP.popForShed(/*TargetNode=*/1, 2, Out);
-  ASSERT_EQ(Got, 2u);
-  EXPECT_EQ(Out[0].A, 2); // hinted at node 2
-  EXPECT_EQ(Out[1].A, 6); // hinted at node 3
-
-  // Only local-hinted tasks remain: work conservation still sheds them.
-  Got = VP.popForShed(/*TargetNode=*/1, 2, Out);
-  ASSERT_EQ(Got, 2u);
-  EXPECT_EQ(Out[0].A, 0);
-  EXPECT_EQ(Out[1].A, 4);
-  EXPECT_EQ(VP.queueDepth(), 0u);
-}
-
-TEST(Rebalance, StarvedNodePickOnAmdTopology) {
-  // The 48-core AMD machine, 16 vprocs: vprocs V and V+8 on node V.
-  // Load every node except node 3, register a (never-sleeping) waiter
-  // on 3, and the shed target must be exactly the starved node.
-  RuntimeConfig Cfg = testRuntimeConfig(16);
-  Cfg.ShedThreshold = 0; // the loading spawns themselves must not shed
-  Runtime RT(Cfg, Topology::amdMagnyCours48());
-  ParkLot &Lot = RT.parkLot();
-  for (unsigned V = 0; V < 16; ++V) {
-    if (RT.vproc(V).node() == 3)
-      continue;
-    for (int I = 0; I < 2; ++I)
-      RT.vproc(V).spawn(trivialTask());
-  }
-  // Make the would-be shedder deep enough that loaded nodes (depth 4)
-  // fail the starvation test (load * 2 >= depth) but an empty node 3
-  // passes it.
-  for (int I = 0; I < 16; ++I)
-    RT.vproc(0).spawn(trivialTask());
-
-  // Register waiters on both the empty node 3 and the loaded node 5:
-  // "most starved" must pick the empty one no matter which other nodes'
-  // workers happen to be parked at this instant (every loaded node
-  // carries board depth >= 4 and loses the min to node 3's 0).
-  ParkLot::Token Waiter3 = Lot.prepare(3);
-  ParkLot::Token Waiter5 = Lot.prepare(5);
-  for (int Trial = 0; Trial < 50; ++Trial)
-    EXPECT_EQ(RT.scheduler().pickShedTarget(RT.vproc(0)), 3u)
-        << "the most-starved parked node must win";
-  Lot.cancel(3, Waiter3);
-  Lot.cancel(5, Waiter5);
-  for (unsigned V = 0; V < 16; ++V)
-    while (RT.vproc(V).runOneLocal())
-      ;
-}
-
-TEST(Rebalance, AdaptivePatienceStaysWithinBounds) {
+TEST(Rebalance, PatienceAdaptsWithinBounds) {
+  // The adaptive patience is clamped to [8, 512] (Scheduler.cpp).
+  constexpr unsigned Min = 8, Max = 512;
   RuntimeConfig Cfg = testRuntimeConfig(8);
   Cfg.RemoteStealPatience = 16;
-  Cfg.RemoteStealPatienceMin = 4;
-  Cfg.RemoteStealPatienceMax = 64;
-  Cfg.AdaptivePatience = true;
   Runtime RT(Cfg, Topology::uniform(4, 2));
   Scheduler &Sched = RT.scheduler();
-  ASSERT_TRUE(Sched.adaptivePatience());
   VProc &Thief = RT.vproc(0);
   EXPECT_EQ(Sched.patienceOf(0), 16u);
 
@@ -789,10 +560,10 @@ TEST(Rebalance, AdaptivePatienceStaysWithinBounds) {
   // patience until it pins at the lower bound -- never below.
   for (int I = 0; I < 400; ++I) {
     EXPECT_FALSE(Sched.stealAndRun(Thief));
-    EXPECT_GE(Sched.patienceOf(0), 4u);
-    EXPECT_LE(Sched.patienceOf(0), 64u);
+    EXPECT_GE(Sched.patienceOf(0), Min);
+    EXPECT_LE(Sched.patienceOf(0), Max);
   }
-  EXPECT_EQ(Sched.patienceOf(0), 4u) << "dry rounds must pin at Min";
+  EXPECT_EQ(Sched.patienceOf(0), Min) << "dry rounds must pin at Min";
   SchedStats S = Thief.schedStats();
   EXPECT_GT(S.PatienceDrops, 0u);
   EXPECT_EQ(S.PatienceRaises, 0u);
@@ -802,233 +573,57 @@ TEST(Rebalance, AdaptivePatienceStaysWithinBounds) {
   for (int I = 0; I < 400; ++I) {
     RT.vproc(4).spawn(trivialTask());
     EXPECT_TRUE(Sched.stealAndRun(Thief));
-    EXPECT_LE(Sched.patienceOf(0), 64u);
+    EXPECT_LE(Sched.patienceOf(0), Max);
     while (Thief.runOneLocal())
       ;
   }
-  EXPECT_EQ(Sched.patienceOf(0), 64u) << "fed rounds must pin at Max";
+  EXPECT_EQ(Sched.patienceOf(0), Max) << "fed rounds must pin at Max";
   EXPECT_GT(Thief.schedStats().PatienceRaises, 0u);
 }
 
-TEST(Rebalance, FixedPatienceBaselineNeverAdapts) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.RemoteStealPatience = 16;
-  Cfg.AdaptivePatience = false;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
-  Scheduler &Sched = RT.scheduler();
-  EXPECT_FALSE(Sched.adaptivePatience());
-  for (int I = 0; I < 200; ++I) {
-    Sched.stealAndRun(RT.vproc(0));
-    EXPECT_EQ(Sched.patienceOf(0), 16u);
-  }
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.PatienceDrops, 0u);
-  EXPECT_EQ(S.PatienceRaises, 0u);
-}
-
-TEST(Rebalance, ShedBatchFlowsToStarvedNode) {
-  // End-to-end: a skewed producer on node 0 bursts deep queues while
-  // node 1 idles; shed batches must arrive through node 1's bay and be
-  // claimed there. A pinned waiter on node 1 makes the target choice
-  // deterministic even when the real workers are mid-wake.
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 16;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ParkLot::Token FakeWaiter = RT.parkLot().prepare(1);
+TEST(Rebalance, SkewedBurstReachesRemoteNodesByStealing) {
+  // The 48-core AMD machine, 16 vprocs (vprocs V and V+8 on node V).
+  // One producer on node 0 bursts a deep queue after the other vprocs
+  // have idled long enough for their patience to adapt down and unlock
+  // the remote tiers; stealing alone must then carry the burst off
+  // node 0, and every task must run exactly once.
+  Runtime RT(testRuntimeConfig(16), Topology::amdMagnyCours48());
+  constexpr int Tasks = 512;
+  static std::atomic<int> Runs[Tasks];
   static std::atomic<int> Remaining;
-  Remaining = 240;
-  RT.run(
-      [](Runtime &, VProc &VP, void *) {
-        static JoinCounter Join;
-        for (int B = 0; B < 8; ++B) {
-          // Let workers drain and park between bursts.
-          std::this_thread::sleep_for(std::chrono::microseconds(500));
-          for (int I = 0; I < 30; ++I) {
-            Join.add();
-            VP.spawn({[](Runtime &, VProc &, Task) {
-                        Remaining.fetch_sub(1);
-                        Join.sub();
-                      },
-                      &Join, Value::nil(), 0, 0});
-          }
-        }
-        VP.joinWait(Join);
-      },
-      nullptr);
-  RT.parkLot().cancel(1, FakeWaiter);
-  EXPECT_EQ(Remaining.load(), 0);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_GT(S.TasksShed, 0u) << "deep bursts against an idle node must shed";
-  EXPECT_EQ(S.ShedTasksClaimed, S.TasksShed)
-      << "every shed task must be claimed (all work completed)";
-  EXPECT_GT(S.ShedBatches, 0u);
-  EXPECT_EQ(RT.parkLot().shedDepth(0), 0u);
-  EXPECT_EQ(RT.parkLot().shedDepth(1), 0u);
-}
-
-TEST(Rebalance, RemoteBayClaimUnlocksWithPatience) {
-  // Bay work conservation: a batch shed toward node 1 must be
-  // reachable by a node-0 vproc once its failed steal rounds pass one
-  // patience -- the rescue path for a batch whose target node went
-  // busy or blocked after the shed.
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 8;
-  Cfg.RemoteStealPatience = 16;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ParkLot &Lot = RT.parkLot();
-  ParkLot::Token FakeWaiter = Lot.prepare(1);
-  for (int I = 0; I < 8; ++I)
-    RT.vproc(0).spawn(trivialTask());
-  Lot.cancel(1, FakeWaiter);
-  ASSERT_EQ(Lot.shedDepth(1), 4u);
-
-  // vproc 2 (node 0): own bay empty, no failed rounds yet -- the
-  // remote bay stays locked.
-  VProc &Rescuer = RT.vproc(2);
-  EXPECT_FALSE(RT.scheduler().claimShedAndRun(Rescuer));
-  EXPECT_EQ(Lot.shedDepth(1), 4u);
-
-  // Drain vproc 0 so every steal round genuinely fails, run the rounds
-  // out, and the remote bay opens on the same terms as remote victims.
-  while (RT.vproc(0).runOneLocal())
-    ;
-  bool Claimed = false;
-  for (int I = 0; I < 200 && !Claimed; ++I) {
-    RT.scheduler().stealAndRun(Rescuer);
-    Claimed = RT.scheduler().claimShedAndRun(Rescuer);
-  }
-  EXPECT_TRUE(Claimed) << "patience-expired vprocs must rescue remote bays";
-  EXPECT_EQ(Lot.shedDepth(1), 0u);
-  EXPECT_EQ(Rescuer.schedStats().ShedTasksClaimed, 4u);
-  while (Rescuer.runOneLocal())
-    ;
-}
-
-TEST(Rebalance, BaselineKnobsRestorePriorStatsShape) {
-  // ShedThreshold=0 + AdaptivePatience=false + StealHalf=false is the
-  // PR 4 scheduler: every new counter must stay at zero (and chunks
-  // must degenerate to one per handshake).
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 0;
-  Cfg.AdaptivePatience = false;
-  Cfg.StealHalf = false;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  static std::atomic<int> Remaining;
-  Remaining = 300;
-  RT.run(
-      [](Runtime &, VProc &VP, void *) {
-        static JoinCounter Join;
-        for (int I = 0; I < 300; ++I) {
-          Join.add();
-          VP.spawn({[](Runtime &, VProc &, Task) {
-                      Remaining.fetch_sub(1);
-                      Join.sub();
-                    },
-                    &Join, Value::nil(), 0, 0});
-        }
-        VP.joinWait(Join);
-      },
-      nullptr);
-  EXPECT_EQ(Remaining.load(), 0);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.TasksShed, 0u);
-  EXPECT_EQ(S.ShedBatches, 0u);
-  EXPECT_EQ(S.ShedEnvBytes, 0u);
-  EXPECT_EQ(S.ShedTargetMisses, 0u);
-  EXPECT_EQ(S.ShedClaims, 0u);
-  EXPECT_EQ(S.ShedTasksClaimed, 0u);
-  EXPECT_EQ(S.PatienceRaises, 0u);
-  EXPECT_EQ(S.PatienceDrops, 0u);
-  EXPECT_EQ(S.StealChunks, S.StealBatches)
-      << "fixed-batch handshakes are exactly one chunk each";
-}
-
-TEST(Rebalance, LoadBoardTeardownHammer) {
-  // The queueDepth lifetime protocol under TSan: external threads read
-  // the load board (and raw depths) continuously across run() epochs
-  // and the between-runs drain, stopping before ~Runtime -- the
-  // documented contract for any cross-thread depth reader.
-  Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
-  std::atomic<bool> Stop{false};
-  std::atomic<uint64_t> Reads{0};
-  std::vector<std::thread> Readers;
-  for (int T = 0; T < 2; ++T) {
-    Readers.emplace_back([&] {
-      uint64_t Sink = 0;
-      while (!Stop.load(std::memory_order_acquire)) {
-        for (NodeId N = 0; N < 2; ++N)
-          Sink += RT.scheduler().nodeDepth(N);
-        for (unsigned V = 0; V < 4; ++V)
-          Sink += RT.vproc(V).queueDepth();
-        Reads.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (Sink == ~0ull)
-        std::abort(); // keep the reads observable
-    });
-  }
-  for (int Run = 0; Run < 3; ++Run) {
-    static std::atomic<int> Remaining;
-    Remaining = 400;
-    RT.run(
-        [](Runtime &, VProc &VP, void *) {
-          static JoinCounter Join;
-          for (int I = 0; I < 400; ++I) {
-            Join.add();
-            VP.spawn({[](Runtime &, VProc &, Task) {
-                        Remaining.fetch_sub(1);
-                        Join.sub();
-                      },
-                      &Join, Value::nil(), 0, 0});
-          }
-          VP.joinWait(Join);
-        },
-        nullptr);
-    EXPECT_EQ(Remaining.load(), 0);
-  }
-  Stop.store(true, std::memory_order_release);
-  for (std::thread &R : Readers)
-    R.join();
-  EXPECT_GT(Reads.load(), 0u);
-}
-
-TEST(Rebalance, ShedHammer) {
-  // Everything on at once -- shedding, steal-half chunking, adaptive
-  // patience -- under an environment-carrying spawn storm: the TSan
-  // regression test for the publish/claim bay protocol and the chunked
-  // Filled/Consumed handshake, plus end-to-end env integrity.
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.StealBatch = 4;
-  Cfg.ShedThreshold = 8;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
-
-  constexpr int Tasks = 600;
-  static std::atomic<int> Remaining;
+  for (std::atomic<int> &R : Runs)
+    R = 0;
   Remaining = Tasks;
   RT.run(
       [](Runtime &, VProc &VP, void *) {
-        RootScope Scope(VP.heap());
-        static JoinCounter Join;
-        for (int I = 0; I < Tasks; ++I) {
-          Ref<> Env = Scope.root(makeIntList(VP.heap(), 8));
-          Join.add();
+        // Idle gap: the thieves' steal rounds all fail meanwhile.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        for (int I = 0; I < Tasks; ++I)
           VP.spawn({[](Runtime &, VProc &, Task T) {
-                      EXPECT_EQ(listSum(T.Env), intListSum(8));
+                      auto Until = std::chrono::steady_clock::now() +
+                                   std::chrono::microseconds(20);
+                      while (std::chrono::steady_clock::now() < Until)
+                        ;
+                      Runs[T.A].fetch_add(1);
                       Remaining.fetch_sub(1);
-                      Join.sub();
                     },
-                    &Join, Env, 0, 0});
+                    nullptr, Value::nil(), I, 0});
+        // The producer never runs its own queue: it only answers steal
+        // requests, so every task leaves node 0's producer by a steal.
+        while (Remaining.load() > 0) {
+          VP.poll();
+          std::this_thread::yield();
         }
-        VP.joinWait(Join);
       },
       nullptr);
 
-  EXPECT_EQ(Remaining.load(), 0);
+  for (int I = 0; I < Tasks; ++I)
+    EXPECT_EQ(Runs[I].load(), 1) << "task " << I;
   SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.ShedTasksClaimed, S.TasksShed)
-      << "a completed run leaves no shed task unclaimed";
   EXPECT_EQ(S.TasksServiced, S.TasksStolen);
-  for (NodeId N = 0; N < 4; ++N)
-    EXPECT_EQ(RT.parkLot().shedDepth(N), 0u);
+  EXPECT_GT(S.PatienceDrops, 0u) << "dry thieves must lower their patience";
+  EXPECT_GT(S.CrossNodeBatches, 0u)
+      << "unlocked remote tiers must steal from the loaded node";
 }
 
 //===----------------------------------------------------------------------===//
@@ -1045,7 +640,8 @@ TEST(Scheduler, ReportRendersSchedulerSection) {
             nullptr);
       },
       nullptr);
-  std::string Report = gcReportString(RT.world(), RT.aggregateSchedStats());
+  std::string Report =
+      buildGCReport(RT.world(), RT.aggregateSchedStats()).human();
   EXPECT_NE(Report.find("scheduler:"), std::string::npos);
   EXPECT_NE(Report.find("node-local"), std::string::npos);
   EXPECT_NE(Report.find("parked"), std::string::npos);
