@@ -118,7 +118,10 @@ public:
       uint64_t Foot = objectFootprintWords(Hdr);
       Chunk *Used = nullptr;
       Word *NewHdrSlot = reserve(Foot, &Used);
-      std::memcpy(NewHdrSlot, Obj - 1, Foot * sizeof(Word));
+      // The header goes from the atomic load: a racing vproc may CAS
+      // its forwarding pointer into it while the body is copied.
+      NewHdrSlot[0] = Hdr;
+      std::memcpy(NewHdrSlot + 1, Obj, (Foot - 1) * sizeof(Word));
       Word NewW = reinterpret_cast<Word>(NewHdrSlot + 1);
       if (HdrRef.compare_exchange_strong(Hdr, NewW,
                                          std::memory_order_acq_rel)) {

@@ -69,6 +69,7 @@ void *MemoryBanks::mapAligned(std::size_t Bytes, std::size_t Align) {
 void *MemoryBanks::allocFresh(std::size_t Bytes, std::size_t Align,
                               NodeId Node) {
   void *Mem;
+  bool DidBind = false;
   if (Mode == BindMode::Bound) {
     Mem = mapAligned(Bytes, Align);
     MANTI_CHECK(Mem, "out of memory in MemoryBanks (mmap)");
@@ -76,13 +77,19 @@ void *MemoryBanks::allocFresh(std::size_t Bytes, std::size_t Align,
     // node's physical bank. Failure (no libnuma, UMA kernel, offlined
     // node) leaves a plain first-touch mapping -- the degradation mode.
     unsigned OsNode = OsNodeIds.empty() ? Node : OsNodeIds[Node];
-    if (numaos::bindToOsNode(Mem, Bytes, OsNode))
-      Banks[Node].Bound += Bytes;
+    DidBind = numaos::bindToOsNode(Mem, Bytes, OsNode);
   } else {
     Mem = std::aligned_alloc(Align, Bytes);
     MANTI_CHECK(Mem, "out of memory in MemoryBanks");
   }
-  Banks[Node].Reserved += Bytes;
+  {
+    // Vprocs map fresh blocks concurrently; the counters are the bank's.
+    Bank &B = Banks[Node];
+    std::lock_guard<SpinLock> Lock(B.Lock);
+    B.Reserved += Bytes;
+    if (DidBind)
+      B.Bound += Bytes;
+  }
 
   uintptr_t Begin = reinterpret_cast<uintptr_t>(Mem);
   Extent E{Begin, Begin + Bytes, Node};

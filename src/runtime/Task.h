@@ -63,7 +63,10 @@ struct Task {
 };
 
 /// Counts outstanding subtasks of a fork-join region. The spawner waits
-/// in VProc::joinWait, running other work meanwhile ("help-first").
+/// in VProc::joinWait, running other work meanwhile ("help-first"):
+/// before each pop of its own queue it answers any pending steal
+/// request, so the oldest subtasks leave for idle vprocs while the
+/// joiner works through the newest.
 class JoinCounter {
 public:
   explicit JoinCounter(int64_t Initial = 0) : Pending(Initial) {}

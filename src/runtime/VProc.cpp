@@ -135,13 +135,17 @@ void VProc::joinWait(JoinCounter &Join) {
   // instead of busy-polling the counter.
   Join.setWaiter(this);
   while (!Join.done()) {
+    // Answer a waiting thief before popping local work: the handshake
+    // hands over the oldest tasks -- the largest pending units -- while
+    // there are still some to give. Polling only once the queue ran dry
+    // would answer every request with Failed.
+    poll();
+    if (Join.done())
+      break;
     if (runOneLocal()) {
       Sched.noteProgress(*this);
       continue;
     }
-    poll();
-    if (Join.done())
-      break;
     if (stealAndRun()) {
       Sched.noteProgress(*this);
       continue;

@@ -121,7 +121,11 @@ public:
   bool stealAndRun();
 
   /// Runs local and stolen work until \p Join completes, backing off
-  /// through the Scheduler's idle ladder when no work is found.
+  /// through the Scheduler's idle ladder when no work is found. Every
+  /// iteration polls first -- answering a pending steal request, then
+  /// taking a safe point -- and only then pops its own newest task, so a
+  /// thief is handed the joiner's oldest (largest) tasks while the queue
+  /// still holds some.
   void joinWait(JoinCounter &Join);
 
   /// Runs \p T with its environment rooted.

@@ -29,9 +29,9 @@ struct SortSplit {
 
 void sortTask(Runtime &RT, VProc &VP, Task T) {
   auto &Split = *static_cast<SortSplit *>(T.Ctx);
-  RootScope S(VP.heap());
-  Ref<> Env = S.root(T.Env);
-  Value Sorted = quicksort(RT, VP, Env, Split.Cutoff);
+  // runTask roots the environment; quicksort roots its own copy before
+  // it allocates.
+  Value Sorted = quicksort(RT, VP, T.Env, Split.Cutoff);
   Split.Cell->fill(VP, Sorted);
   Split.Join.sub();
 }
@@ -56,44 +56,47 @@ Value manti::workloads::quicksort(Runtime &RT, VProc &VP, Value R,
     return sortLeaf(VP, R);
 
   RootScope S(VP.heap());
-  S.rootExternal(R); // R is this frame's parameter; keep it current
+  // The input is rooted only until it has been copied out, and the
+  // scratch buffer lives only through the partition step: a frame that
+  // kept either across its recursive call and join would pin one input
+  // per level of the spine, on every vproc that runs a spine.
+  Ref<> In = S.root(R);
+  Ref<> LessRope = S.root(Value::nil());
+  Ref<> EqualRope = S.root(Value::nil());
+  Ref<> GreaterRope = S.root(Value::nil());
+  {
+    // NESL-style three-way partition on a median-of-three pivot, done in
+    // place: less | equal | greater.
+    std::vector<uint64_t> Buf(static_cast<std::size_t>(N));
+    rope::toArray(In, Buf.data());
+    In = Value::nil(); // through the handle: the deletion barrier sees it
+    auto AsInt = [](uint64_t W) { return static_cast<int64_t>(W); };
+    int64_t A = AsInt(Buf.front());
+    int64_t B = AsInt(Buf[static_cast<std::size_t>(N / 2)]);
+    int64_t C = AsInt(Buf.back());
+    int64_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
 
-  // NESL-style three-way partition on a median-of-three pivot.
-  std::vector<uint64_t> Buf(static_cast<std::size_t>(N));
-  rope::toArray(R, Buf.data());
-  auto AsInt = [](uint64_t W) { return static_cast<int64_t>(W); };
-  int64_t A = AsInt(Buf.front());
-  int64_t B = AsInt(Buf[static_cast<std::size_t>(N / 2)]);
-  int64_t C = AsInt(Buf.back());
-  int64_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
-
-  std::vector<uint64_t> Less, Equal, Greater;
-  Less.reserve(Buf.size() / 2);
-  Greater.reserve(Buf.size() / 2);
-  for (uint64_t W : Buf) {
-    int64_t V = AsInt(W);
-    if (V < Pivot)
-      Less.push_back(W);
-    else if (V > Pivot)
-      Greater.push_back(W);
-    else
-      Equal.push_back(W);
+    uint64_t *Lo = Buf.data(), *End = Lo + N;
+    uint64_t *Mid =
+        std::partition(Lo, End, [&](uint64_t W) { return AsInt(W) < Pivot; });
+    uint64_t *Hi = std::partition(
+        Mid, End, [&](uint64_t W) { return AsInt(W) == Pivot; });
+    LessRope = rope::fromArray(VP.heap(), Lo, Mid - Lo);
+    EqualRope = rope::fromArray(VP.heap(), Mid, Hi - Mid);
+    GreaterRope = rope::fromArray(VP.heap(), Hi, End - Hi);
   }
-
-  Ref<> LessRope =
-      rope::fromArray(S, Less.data(), static_cast<int64_t>(Less.size()));
-  Ref<> EqualRope =
-      rope::fromArray(S, Equal.data(), static_cast<int64_t>(Equal.size()));
-  Ref<> GreaterRope =
-      rope::fromArray(S, Greater.data(), static_cast<int64_t>(Greater.size()));
 
   // Fork: sort the greater partition as a stealable task whose
   // environment is the rope itself; sort the lesser partition here.
   ResultCell Cell(VP);
   SortSplit Split{&RT, Cutoff, &Cell};
   VP.spawn({sortTask, &Split, GreaterRope, 0, 0});
-
-  Ref<> SortedLess = S.root(quicksort(RT, VP, LessRope, Cutoff));
+  GreaterRope = Value::nil(); // the queued task roots it now
+  // Hand the lesser partition over: the callee roots it before its
+  // first allocation and drops it once copied out.
+  Value Lesser = LessRope;
+  LessRope = Value::nil();
+  Ref<> SortedLess = S.root(quicksort(RT, VP, Lesser, Cutoff));
   VP.joinWait(Split.Join);
   Ref<> SortedGreater = S.root(Cell.take());
 

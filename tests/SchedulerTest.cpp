@@ -449,15 +449,20 @@ TEST(Scheduler, PopForStealPrefersThiefAffineTasks) {
 
 TEST(Scheduler, AffinityTasksFlowToTheirNode) {
   // End-to-end: tasks hinted at node 1 end up running there when node 1
-  // has idle vprocs. The spawner never runs its own queue (it blocks in
-  // joinWait only after a final unhinted task), so every hinted task is
-  // stolen; the affinity-aware handshake routes them.
+  // has idle vprocs. The spawner never runs its own queue (it polls
+  // until each task is taken, and joins only once the queue is empty),
+  // so every hinted task is stolen; the affinity-aware handshake routes
+  // them.
   Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
   static std::atomic<int> Total;
   Total = 0;
   RT.run(
       [](Runtime &, VProc &VP, void *) {
         static JoinCounter Join;
+        // Let the idle vprocs run out their spin rungs and remote-steal
+        // patience first: parked on their doorbells, they are woken by
+        // the ring each hinted spawn sends to node 1.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
         for (int I = 0; I < 64; ++I) {
           Join.add();
           Task T{[](Runtime &, VProc &, Task) {
@@ -467,19 +472,24 @@ TEST(Scheduler, AffinityTasksFlowToTheirNode) {
                  nullptr, Value::nil(), 0, 0};
           T.Affinity = 1;
           VP.spawn(T);
-          // Brief pause so thieves drain the queue through handshakes
-          // rather than the spawner running everything locally.
+          // Brief pause so thieves post their requests, then poll -- the
+          // contract for a loop that blocks -- until a thief's handshake
+          // has taken the task.
           std::this_thread::sleep_for(std::chrono::microseconds(200));
+          while (VP.queueDepth() > 0) {
+            VP.poll();
+            std::this_thread::yield();
+          }
         }
         VP.joinWait(Join);
       },
       nullptr);
   EXPECT_EQ(Total.load(), 64);
   SchedStats S = RT.aggregateSchedStats();
-  if (S.TasksStolen > 0) {
-    EXPECT_GT(S.AffinityHandoffs, 0u)
-        << "stolen hinted tasks must register affinity-matched handoffs";
-  }
+  EXPECT_EQ(S.TasksStolen, 64u)
+      << "a polling spawner must hand its queue to idle thieves";
+  EXPECT_GT(S.AffinityHandoffs, 0u)
+      << "stolen hinted tasks must register affinity-matched handoffs";
 }
 
 //===----------------------------------------------------------------------===//

@@ -126,6 +126,29 @@ TEST(QuicksortWL, StealsPromoteRopeEnvironments) {
   verifyWorld(RT.world());
 }
 
+TEST(QuicksortWL, JoinersAnswerStealsWhileTheyHaveWork) {
+  // An ordinary fork-join with no forced polling: vproc 0 runs the whole
+  // sort and only ever waits in joinWait. Idle vprocs get work only if a
+  // joiner answers their steal requests while its queue still holds
+  // subtasks, before it pops them itself.
+  Runtime RT(wlConfig(4), Topology::uniform(2, 2));
+  static QuicksortResult Res;
+  RT.run(
+      [](Runtime &RT, VProc &VP, void *) {
+        QuicksortParams P;
+        P.NumElements = 200000;
+        P.Cutoff = 4096;
+        Res = runQuicksort(RT, VP, P);
+      },
+      nullptr);
+  EXPECT_TRUE(Res.Sorted);
+  EXPECT_EQ(Res.Length, 200000);
+  EXPECT_GT(RT.vproc(0).stealsServiced(), 0u)
+      << "the joining vproc must hand subtasks to thieves";
+  EXPECT_GT(RT.aggregateSchedStats().TasksStolen, 0u);
+  verifyWorld(RT.world());
+}
+
 //===----------------------------------------------------------------------===//
 // Barnes-Hut
 //===----------------------------------------------------------------------===//
