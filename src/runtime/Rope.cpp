@@ -170,21 +170,6 @@ Value manti::rope::concat(VProcHeap &H, Value Left, Value Right) {
   return fromArray(H, Tmp.data(), Len);
 }
 
-Value manti::rope::slice(VProcHeap &H, Value Rope, int64_t Lo, int64_t Hi) {
-  MANTI_CHECK(Lo >= 0 && Lo <= Hi && Hi <= length(Rope),
-              "rope slice out of range");
-  int64_t N = Hi - Lo;
-  if (N == 0)
-    return Value::nil();
-  RootScope S(H);
-  Ref<> Keep = S.root(Rope);
-  (void)Keep;
-  // Materialize then rebuild balanced; simple and O(n) like any copy.
-  std::vector<uint64_t> Tmp(static_cast<std::size_t>(length(Rope)));
-  toArray(Rope, Tmp.data());
-  return fromArray(H, Tmp.data() + Lo, N);
-}
-
 bool manti::rope::isRope(GCWorld &W, Value V) {
   if (V.isNil())
     return true;

@@ -83,9 +83,6 @@ double getDouble(Value Rope, int64_t Index);
 /// Concatenates two ropes (O(1) plus rebalancing of shallow spines).
 Value concat(VProcHeap &H, Value Left, Value Right);
 
-/// Extracts [Lo, Hi) as a new rope.
-Value slice(VProcHeap &H, Value Rope, int64_t Lo, int64_t Hi);
-
 /// Copies the rope's scalars into \p Out (length() elements).
 void toArray(Value Rope, uint64_t *Out);
 
@@ -112,11 +109,6 @@ inline Ref<Object> fromArray(RootScope &S, const uint64_t *Data, int64_t N) {
 inline Ref<Object> concat(RootScope &S, const Ref<> &Left,
                           const Ref<> &Right) {
   return S.root(concat(S.heap(), Left.value(), Right.value()));
-}
-
-inline Ref<Object> slice(RootScope &S, const Ref<> &Rope, int64_t Lo,
-                         int64_t Hi) {
-  return S.root(slice(S.heap(), Rope.value(), Lo, Hi));
 }
 
 /// Packing helpers for double-valued ropes.

@@ -3,10 +3,22 @@
 // Part of the manticore-gc project.
 //
 //===----------------------------------------------------------------------===//
+//
+// Each frame copies its input rope into a flat C++ buffer and picks a
+// median-of-three pivot. The three-way partition is then a
+// parallelReduce over the buffer, as NESL's {x in a | x < p} filters are
+// data-parallel: every leaf partitions its own slice of the buffer into
+// that slice's (less, equal, greater) ropes, and the combine concatenates
+// the triples component-wise. Thieves read only the C++ buffer, never
+// the frame's local heap; their triples come back through
+// parallelReduce's ResultCells, which promote them.
+//
+//===----------------------------------------------------------------------===//
 
 #include "workloads/Quicksort.h"
 
 #include "gc/Handles.h"
+#include "runtime/Parallel.h"
 #include "runtime/Rope.h"
 #include "support/XorShift.h"
 
@@ -18,6 +30,8 @@ using namespace manti;
 using namespace manti::workloads;
 
 namespace {
+
+int64_t asInt(uint64_t W) { return static_cast<int64_t>(W); }
 
 /// Shared state for one spawned sub-sort.
 struct SortSplit {
@@ -41,10 +55,65 @@ Value sortLeaf(VProc &VP, Value R) {
   int64_t N = rope::length(R);
   std::vector<uint64_t> Buf(static_cast<std::size_t>(N));
   rope::toArray(R, Buf.data());
-  std::sort(Buf.begin(), Buf.end(), [](uint64_t A, uint64_t B) {
-    return static_cast<int64_t>(A) < static_cast<int64_t>(B);
-  });
+  std::sort(Buf.begin(), Buf.end(),
+            [](uint64_t A, uint64_t B) { return asInt(A) < asInt(B); });
   return rope::fromArray(VP.heap(), Buf.data(), N);
+}
+
+/// One frame's partition step: its flat copy of the input and the pivot.
+struct PartitionCtx {
+  const uint64_t *Buf;
+  int64_t Pivot;
+};
+
+/// Leaf: three-way partitions Buf[Lo, Hi) into less | equal | greater
+/// and returns the slice's three ropes as a 3-slot vector. The partition
+/// is stable, as NESL's filters are, so concatenating the leaves'
+/// triples in slice order gives the same partition whatever the split:
+/// sorted and reverse-sorted inputs stay monotone at every level and the
+/// median-of-three pivot keeps halving them. (An unstable in-place
+/// partition per slice, concatenated, makes reverse-sorted input a
+/// median-of-three killer: quadratic.)
+Ref<> partitionLeaf(Runtime &, VProc &, RootScope &S, int64_t Lo, int64_t Hi,
+                    void *CtxP) {
+  auto &Ctx = *static_cast<PartitionCtx *>(CtxP);
+  int64_t Pivot = Ctx.Pivot;
+  const uint64_t *First = Ctx.Buf + Lo, *End = Ctx.Buf + Hi;
+  int64_t NumLess = 0, NumEqual = 0;
+  for (const uint64_t *P = First; P != End; ++P) {
+    NumLess += asInt(*P) < Pivot;
+    NumEqual += asInt(*P) == Pivot;
+  }
+  std::vector<uint64_t> Out(static_cast<std::size_t>(Hi - Lo));
+  uint64_t *L = Out.data(), *E = L + NumLess, *G = E + NumEqual;
+  for (const uint64_t *P = First; P != End; ++P) {
+    if (asInt(*P) < Pivot)
+      *L++ = *P;
+    else if (asInt(*P) == Pivot)
+      *E++ = *P;
+    else
+      *G++ = *P;
+  }
+  Ref<> Less = rope::fromArray(S, Out.data(), NumLess);
+  Ref<> Equal = rope::fromArray(S, Out.data() + NumLess, NumEqual);
+  Ref<> Greater = rope::fromArray(S, Out.data() + NumLess + NumEqual,
+                                  Hi - Lo - NumLess - NumEqual);
+  return allocVectorOf(S, Less, Equal, Greater);
+}
+
+/// Combine: concatenates two (less, equal, greater) triples
+/// component-wise, left slice first.
+Ref<> concatTriples(Runtime &, VProc &, RootScope &S, const Ref<> &A,
+                    const Ref<> &B, void *) {
+  auto Join = [&](uint64_t I) {
+    Ref<> L = S.root(vectorGet(A, I));
+    Ref<> R = S.root(vectorGet(B, I));
+    return rope::concat(S, L, R);
+  };
+  Ref<> Less = Join(0);
+  Ref<> Equal = Join(1);
+  Ref<> Greater = Join(2);
+  return allocVectorOf(S, Less, Equal, Greater);
 }
 
 } // namespace
@@ -56,34 +125,33 @@ Value manti::workloads::quicksort(Runtime &RT, VProc &VP, Value R,
     return sortLeaf(VP, R);
 
   RootScope S(VP.heap());
-  // The input is rooted only until it has been copied out, and the
-  // scratch buffer lives only through the partition step: a frame that
-  // kept either across its recursive call and join would pin one input
-  // per level of the spine, on every vproc that runs a spine.
+  // The input is rooted only until it has been copied out, the scratch
+  // buffer lives only through the partition step, and the partition's
+  // triple only until its ropes are extracted: a frame that kept any of
+  // them across its recursive call and join would pin one input per
+  // level of the spine, on every vproc that runs a spine.
   Ref<> In = S.root(R);
   Ref<> LessRope = S.root(Value::nil());
   Ref<> EqualRope = S.root(Value::nil());
   Ref<> GreaterRope = S.root(Value::nil());
   {
-    // NESL-style three-way partition on a median-of-three pivot, done in
-    // place: less | equal | greater.
     std::vector<uint64_t> Buf(static_cast<std::size_t>(N));
     rope::toArray(In, Buf.data());
     In = Value::nil(); // through the handle: the deletion barrier sees it
-    auto AsInt = [](uint64_t W) { return static_cast<int64_t>(W); };
-    int64_t A = AsInt(Buf.front());
-    int64_t B = AsInt(Buf[static_cast<std::size_t>(N / 2)]);
-    int64_t C = AsInt(Buf.back());
+    int64_t A = asInt(Buf.front());
+    int64_t B = asInt(Buf[static_cast<std::size_t>(N / 2)]);
+    int64_t C = asInt(Buf.back());
     int64_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
 
-    uint64_t *Lo = Buf.data(), *End = Lo + N;
-    uint64_t *Mid =
-        std::partition(Lo, End, [&](uint64_t W) { return AsInt(W) < Pivot; });
-    uint64_t *Hi = std::partition(
-        Mid, End, [&](uint64_t W) { return AsInt(W) == Pivot; });
-    LessRope = rope::fromArray(VP.heap(), Lo, Mid - Lo);
-    EqualRope = rope::fromArray(VP.heap(), Mid, Hi - Mid);
-    GreaterRope = rope::fromArray(VP.heap(), Hi, End - Hi);
+    // A frame no larger than the grain makes a single leaf call: the
+    // sequential partition.
+    PartitionCtx Ctx{Buf.data(), Pivot};
+    Ref<> Parts = parallelReduce(S, RT, VP, 0, N, QuicksortPartitionGrain,
+                                 partitionLeaf, concatTriples, &Ctx);
+    LessRope = vectorGet(Parts, 0);
+    EqualRope = vectorGet(Parts, 1);
+    GreaterRope = vectorGet(Parts, 2);
+    Parts = Value::nil();
   }
 
   // Fork: sort the greater partition as a stealable task whose
@@ -126,11 +194,9 @@ QuicksortResult manti::workloads::runQuicksort(Runtime &RT, VProc &VP,
   Res.Seconds = std::chrono::duration<double>(End - Start).count();
   std::vector<uint64_t> Out(static_cast<std::size_t>(Res.Length));
   rope::toArray(Sorted, Out.data());
-  Res.Sorted = std::is_sorted(Out.begin(), Out.end(),
-                              [](uint64_t A, uint64_t B) {
-                                return static_cast<int64_t>(A) <
-                                       static_cast<int64_t>(B);
-                              });
+  Res.Sorted = std::is_sorted(
+      Out.begin(), Out.end(),
+      [](uint64_t A, uint64_t B) { return asInt(A) < asInt(B); });
   for (uint64_t W : Out)
     Res.Checksum += W;
   Res.Sorted = Res.Sorted && Res.Checksum == CheckIn &&

@@ -9,7 +9,10 @@
 /// integers in parallel. This code is based on the NESL version of the
 /// algorithm" -- three-way partition into (less, equal, greater)
 /// sequences, recursive parallel sorts of the outer two, then
-/// concatenation. Sequences are ropes; the recursive sub-sort for the
+/// concatenation. Sequences are ropes. The partition itself is
+/// data-parallel, as NESL's filters are: a parallelReduce over the
+/// frame's flat copy of its input, in which thieves read only C++ memory
+/// and hand back promoted rope triples. The recursive sub-sort for the
 /// greater partition is spawned as a task whose environment *is* the
 /// rope, so a steal promotes the partition to the global heap -- the
 /// lazy-promotion path the runtime is designed around.
@@ -19,11 +22,16 @@
 #ifndef MANTI_WORKLOADS_QUICKSORT_H
 #define MANTI_WORKLOADS_QUICKSORT_H
 
+#include "runtime/Rope.h"
 #include "runtime/Runtime.h"
 
 #include <cstdint>
 
 namespace manti::workloads {
+
+/// Elements per leaf of a frame's parallel partition step; a frame no
+/// larger than this partitions sequentially.
+inline constexpr int64_t QuicksortPartitionGrain = 16 * rope::LeafElems;
 
 struct QuicksortParams {
   int64_t NumElements = 100000;

@@ -105,16 +105,6 @@ TEST(Rope, RepeatedConcatStaysShallow) {
     EXPECT_EQ(rope::getInt(R, I), I);
 }
 
-TEST(Rope, Slice) {
-  RopeWorld TW;
-  RootScope Scope(TW.heap());
-  Ref<> R = Scope.root(rope::fromFunction(TW.heap(), 3000, identity, nullptr));
-  Ref<> S = Scope.root(rope::slice(TW.heap(), R, 1000, 1500));
-  EXPECT_EQ(rope::length(S), 500);
-  for (int64_t I = 0; I < 500; I += 49)
-    EXPECT_EQ(rope::getInt(S, I), 1000 + I);
-}
-
 TEST(Rope, DoubleRopes) {
   RopeWorld TW;
   RootScope Scope(TW.heap());

@@ -381,12 +381,30 @@ TEST(Scheduler, SpawnRingsDoorbellsAndWorkCompletes) {
   static std::atomic<int> Remaining;
   Remaining = 200;
   RT.run(
-      [](Runtime &RT2, VProc &VP, void *) {
-        // Let a worker descend to the park rung first, so the spawn
-        // rings below have a parked vproc to wake.
-        while (RT2.parkLot().parkedOn(0) == 0 &&
-               RT2.parkLot().parkedOn(1) == 0)
-          std::this_thread::yield();
+      [](Runtime &, VProc &VP, void *) {
+        // Let a worker descend to the park rung and record a park
+        // first. A registered waiter (ParkLot::parkedOn) is not enough:
+        // doorbellPark may cancel() it without parking. So a probe task
+        // reads the park count of the vproc that runs it, on that
+        // vproc's own thread; the loop polls until a thief has taken
+        // the probe, so a woken worker runs it.
+        static std::atomic<uint64_t> ProbedParks;
+        ProbedParks = 0;
+        while (ProbedParks.load() == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          static JoinCounter Probe;
+          Probe.add();
+          VP.spawn({[](Runtime &, VProc &Runner, Task) {
+                      ProbedParks.fetch_add(Runner.schedStats().Parks);
+                      Probe.sub();
+                    },
+                    nullptr, Value::nil(), 0, 0});
+          while (VP.queueDepth() > 0) {
+            VP.poll();
+            std::this_thread::yield();
+          }
+          VP.joinWait(Probe);
+        }
         static JoinCounter Join;
         for (int I = 0; I < 200; ++I) {
           Join.add();

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -146,6 +148,95 @@ TEST(QuicksortWL, JoinersAnswerStealsWhileTheyHaveWork) {
   EXPECT_GT(RT.vproc(0).stealsServiced(), 0u)
       << "the joining vproc must hand subtasks to thieves";
   EXPECT_GT(RT.aggregateSchedStats().TasksStolen, 0u);
+  verifyWorld(RT.world());
+}
+
+namespace {
+
+/// Sorts \p In with workloads::quicksort on \p VP and checks the output:
+/// non-decreasing, same length, same checksum.
+void expectSorts(Runtime &RT, VProc &VP, const std::vector<uint64_t> &In,
+                 int64_t Cutoff, const char *What) {
+  RootScope Scope(VP.heap());
+  int64_t N = static_cast<int64_t>(In.size());
+  uint64_t CheckIn = 0;
+  for (uint64_t W : In)
+    CheckIn += W;
+  Ref<> R = rope::fromArray(Scope, In.data(), N);
+  Ref<> Sorted = Scope.root(quicksort(RT, VP, R, Cutoff));
+  ASSERT_EQ(rope::length(Sorted), N) << What;
+  std::vector<uint64_t> Out(In.size());
+  rope::toArray(Sorted, Out.data());
+  uint64_t CheckOut = 0;
+  for (uint64_t W : Out)
+    CheckOut += W;
+  EXPECT_EQ(CheckOut, CheckIn) << What;
+  EXPECT_TRUE(std::is_sorted(Out.begin(), Out.end(),
+                             [](uint64_t A, uint64_t B) {
+                               return static_cast<int64_t>(A) <
+                                      static_cast<int64_t>(B);
+                             }))
+      << What;
+}
+
+std::vector<uint64_t> randomInts(std::size_t N, uint64_t Seed) {
+  XorShift64 Rng(Seed);
+  std::vector<uint64_t> V(N);
+  for (auto &W : V)
+    W = Rng.next() >> 8;
+  return V;
+}
+
+} // namespace
+
+TEST(QuicksortWL, ParallelPartitionHandlesDegenerateInputs) {
+  // Inputs above the partition grain, so every frame's partition step is
+  // a parallel reduction over several leaves. Equal-heavy inputs give
+  // leaves empty less/greater ropes, which the combine must carry through
+  // rope::concat as nil.
+  Runtime RT(wlConfig(4), Topology::uniform(2, 2));
+  RT.run(
+      [](Runtime &RT, VProc &VP, void *) {
+        constexpr int64_t G = QuicksortPartitionGrain;
+        constexpr std::size_t N = 4 * G + 17;
+        constexpr int64_t Cutoff = 1024;
+        expectSorts(RT, VP, std::vector<uint64_t>(N, 7), Cutoff,
+                    "all equal");
+        std::vector<uint64_t> In = randomInts(N, 5);
+        for (auto &W : In)
+          W %= 3;
+        expectSorts(RT, VP, In, Cutoff, "three distinct values");
+        for (std::size_t I = 0; I < N; ++I)
+          In[I] = I;
+        expectSorts(RT, VP, In, Cutoff, "already sorted");
+        std::reverse(In.begin(), In.end());
+        expectSorts(RT, VP, In, Cutoff, "reverse sorted");
+        expectSorts(RT, VP, randomInts(G - 1, 6), Cutoff, "grain - 1");
+        expectSorts(RT, VP, randomInts(G, 7), Cutoff, "grain");
+        expectSorts(RT, VP, randomInts(G + 1, 8), Cutoff, "grain + 1");
+      },
+      nullptr);
+  verifyWorld(RT.world());
+}
+
+TEST(QuicksortWL, PartitionStepIsStolen) {
+  // One partition step: the cutoff sits just below N, so both halves
+  // are leaf sorts and the root frame's partition is the only fork-join
+  // with more than one task. A sequential partition would leave at most
+  // the spawned greater-half sort to steal; the parallel one hands
+  // thieves partition leaves as well.
+  Runtime RT(wlConfig(4), Topology::uniform(1, 4));
+  RT.run(
+      [](Runtime &RT, VProc &VP, void *) {
+        // Let the idle vprocs reach their doorbells first: the spawns
+        // below ring them awake while the root still holds its leaves.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        constexpr int64_t N = 16 * QuicksortPartitionGrain;
+        expectSorts(RT, VP, randomInts(N, 11), N - 1, "one partition step");
+      },
+      nullptr);
+  EXPECT_GT(RT.aggregateSchedStats().TasksStolen, 1u)
+      << "thieves must take partition leaves, not only the greater sort";
   verifyWorld(RT.world());
 }
 
