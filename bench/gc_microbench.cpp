@@ -21,7 +21,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <deque>
 #include <vector>
 
 using namespace manti;
@@ -38,14 +37,14 @@ GCConfig benchConfig() {
 }
 
 Value makeList(VProcHeap &H, int64_t N) {
-  GcFrame Frame(H);
+  RootScope Scope(H);
   Value List = Value::nil();
-  Frame.root(List);
+  Scope.rootExternal(List);
   for (int64_t I = 0; I < N; ++I) {
     Value Elems[2] = {Value::fromInt(I), List};
-    GcFrame Inner(H);
-    Inner.root(Elems[0]);
-    Inner.root(Elems[1]);
+    RootScope Inner(H);
+    Inner.rootExternal(Elems[0]);
+    Inner.rootExternal(Elems[1]);
     List = H.allocVector(Elems, 2);
   }
   return List;
@@ -67,22 +66,6 @@ static void BM_NurseryAlloc(benchmark::State &State) {
 }
 BENCHMARK(BM_NurseryAlloc)->Arg(2)->Arg(8)->Arg(64);
 
-/// The same bump allocation through the out-of-line twin of the fast
-/// path (the pre-inlining code shape, kept for exactly this comparison):
-/// the delta against BM_NurseryAlloc is what header-inlining the
-/// tryAlloc fast path buys per allocation.
-static void BM_NurseryAllocOutlined(benchmark::State &State) {
-  GCWorld World(benchConfig(), Topology::singleNode(1), 1);
-  VProcHeap &H = World.heap(0);
-  int64_t Words = State.range(0);
-  for (auto _ : State) {
-    Value V = gcinternal::HeapAccess::allocRawOutlined(H, nullptr, Words * 8);
-    benchmark::DoNotOptimize(V);
-  }
-  State.SetBytesProcessed(State.iterations() * (Words + 1) * 8);
-}
-BENCHMARK(BM_NurseryAllocOutlined)->Arg(2)->Arg(8)->Arg(64);
-
 /// Allocate a fresh live list, then minor-collect it: measures the
 /// mutator-allocation plus nursery-copy cycle at a given live size.
 static void BM_MinorGC(benchmark::State &State) {
@@ -90,8 +73,8 @@ static void BM_MinorGC(benchmark::State &State) {
   VProcHeap &H = World.heap(0);
   int64_t LiveCells = State.range(0);
   for (auto _ : State) {
-    GcFrame Frame(H);
-    Value &Live = Frame.root(makeList(H, LiveCells));
+    RootScope Scope(H);
+    Value &Live = Scope.slot(makeList(H, LiveCells));
     H.minorGC();
     benchmark::DoNotOptimize(Live);
   }
@@ -106,8 +89,8 @@ static void BM_MajorGC(benchmark::State &State) {
   int64_t Cells = State.range(0);
   for (auto _ : State) {
     State.PauseTiming();
-    GcFrame Frame(H);
-    Value &List = Frame.root(makeList(H, Cells));
+    RootScope Scope(H);
+    Value &List = Scope.slot(makeList(H, Cells));
     H.minorGC();
     H.minorGC(); // age the data into the old area
     State.ResumeTiming();
@@ -126,8 +109,8 @@ static void BM_Promotion(benchmark::State &State) {
   int64_t Cells = State.range(0);
   for (auto _ : State) {
     State.PauseTiming();
-    GcFrame Frame(H);
-    Value &List = Frame.root(makeList(H, Cells));
+    RootScope Scope(H);
+    Value &List = Scope.slot(makeList(H, Cells));
     State.ResumeTiming();
     Value P = H.promote(List);
     benchmark::DoNotOptimize(P);
@@ -141,8 +124,8 @@ static void BM_GlobalGC(benchmark::State &State) {
   GCConfig Cfg = benchConfig();
   GCWorld World(Cfg, Topology::singleNode(1), 1);
   VProcHeap &H = World.heap(0);
-  GcFrame Frame(H);
-  Value &Live = Frame.root(makeList(H, State.range(0)));
+  RootScope Scope(H);
+  Value &Live = Scope.slot(makeList(H, State.range(0)));
   Live = H.promote(Live);
   for (auto _ : State) {
     World.requestGlobalGC();
@@ -163,8 +146,8 @@ static void BM_ConcurrentGlobalGC(benchmark::State &State) {
   Cfg.ConcurrentGlobal = true;
   GCWorld World(Cfg, Topology::singleNode(1), 1);
   VProcHeap &H = World.heap(0);
-  GcFrame Frame(H);
-  Value &Live = Frame.root(makeList(H, State.range(0)));
+  RootScope Scope(H);
+  Value &Live = Scope.slot(makeList(H, State.range(0)));
   Live = H.promote(Live);
   for (auto _ : State) {
     World.startConcurrentMark();
@@ -185,8 +168,8 @@ static void BM_MixedObjectScan(benchmark::State &State) {
   VProcHeap &H = World.heap(0);
   int64_t Chain = State.range(0);
   for (auto _ : State) {
-    GcFrame Frame(H);
-    Value &Root = Frame.root(Value::nil());
+    RootScope Scope(H);
+    Value &Root = Scope.slot(Value::nil());
     for (int64_t I = 0; I < Chain; ++I) {
       Word Fields[4] = {Root.bits(), Root.bits(), 7, 9};
       Value *Slots[2] = {&Root, &Root};
@@ -208,10 +191,10 @@ static void BM_VectorAlloc(benchmark::State &State) {
   VProcHeap &H = World.heap(0);
   std::size_t N = static_cast<std::size_t>(State.range(0));
   Value Elems[16] = {};
-  GcFrame Frame(H);
+  RootScope Scope(H);
   for (std::size_t I = 0; I < N; ++I) {
     Elems[I] = Value::fromInt(static_cast<int64_t>(I));
-    Frame.root(Elems[I]);
+    Scope.rootExternal(Elems[I]);
   }
   for (auto _ : State) {
     Value V = H.allocVector(Elems, N);
@@ -235,10 +218,10 @@ static void BM_VectorAllocCold(benchmark::State &State) {
   VProcHeap &H = World.heap(0);
   std::size_t N = static_cast<std::size_t>(State.range(0));
   Value Elems[16] = {};
-  GcFrame Frame(H);
+  RootScope Scope(H);
   for (std::size_t I = 0; I < N; ++I) {
     Elems[I] = Value::fromInt(static_cast<int64_t>(I));
-    Frame.root(Elems[I]);
+    Scope.rootExternal(Elems[I]);
   }
   for (auto _ : State) {
     Value V = H.allocVector(Elems, N);
@@ -252,8 +235,6 @@ BENCHMARK(BM_VectorAllocCold)->Arg(2)->Arg(8);
 /// opened and torn down per iteration. This is the fixed overhead every
 /// handle-using operation pays before touching the heap (the
 /// lock-free-structure ops in src/structures/ open one per retry loop).
-/// RootScope stores slots in registered slabs; BM_RootScopeRegisterDeque
-/// below replays the retired per-slot design for the delta.
 static void BM_RootScopeRegister(benchmark::State &State) {
   GCWorld World(benchConfig(), Topology::singleNode(1), 1);
   VProcHeap &H = World.heap(0);
@@ -268,81 +249,6 @@ static void BM_RootScopeRegister(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * Roots);
 }
 BENCHMARK(BM_RootScopeRegister)->Arg(1)->Arg(4)->Arg(16);
-
-namespace {
-
-/// Bench-local replica of the pre-slab RootScope storage: a deque of
-/// owned slots, each individually pushed onto (and popped from) the
-/// shadow stack. Kept only so BM_RootScopeRegisterDeque keeps measuring
-/// what the slabbed scope replaced.
-class DequeRootScope {
-public:
-  explicit DequeRootScope(VProcHeap &H)
-      : H(H), Mark(H.ShadowStack.size()) {}
-  ~DequeRootScope() { H.ShadowStack.resize(Mark); }
-  Value &slot(Value V) {
-    Owned.push_back(V);
-    H.ShadowStack.push_back(&Owned.back());
-    return Owned.back();
-  }
-
-private:
-  VProcHeap &H;
-  std::size_t Mark;
-  std::deque<Value> Owned;
-};
-
-} // namespace
-
-/// The retired per-slot registration path (deque storage + individual
-/// shadow-stack pushes), measured through a bench-local replica: the
-/// kept baseline BM_RootScopeRegister is compared against.
-static void BM_RootScopeRegisterDeque(benchmark::State &State) {
-  GCWorld World(benchConfig(), Topology::singleNode(1), 1);
-  VProcHeap &H = World.heap(0);
-  int64_t Roots = State.range(0);
-  for (auto _ : State) {
-    DequeRootScope Scope(H);
-    for (int64_t I = 0; I < Roots; ++I) {
-      Value &S = Scope.slot(Value::fromInt(I));
-      benchmark::DoNotOptimize(S);
-    }
-  }
-  State.SetItemsProcessed(State.iterations() * Roots);
-}
-BENCHMARK(BM_RootScopeRegisterDeque)->Arg(1)->Arg(4)->Arg(16);
-
-namespace {
-
-/// Shared body of the BM_MinorScanPrefetch{On,Off} twins: allocate a
-/// live list bigger than any cache level's worth of hot data, then
-/// minor-collect it with the scan-loop prefetch on or off.
-void minorScanBench(benchmark::State &State, bool Prefetch) {
-  GCConfig Cfg = benchConfig();
-  Cfg.ScanPrefetch = Prefetch;
-  GCWorld World(Cfg, Topology::singleNode(1), 1);
-  VProcHeap &H = World.heap(0);
-  int64_t LiveCells = State.range(0);
-  for (auto _ : State) {
-    GcFrame Frame(H);
-    Value &Live = Frame.root(makeList(H, LiveCells));
-    H.minorGC();
-    benchmark::DoNotOptimize(Live);
-  }
-  State.SetBytesProcessed(State.iterations() * LiveCells * 24);
-}
-
-} // namespace
-
-static void BM_MinorScanPrefetchOn(benchmark::State &State) {
-  minorScanBench(State, true);
-}
-BENCHMARK(BM_MinorScanPrefetchOn)->Arg(2048)->Arg(8192);
-
-static void BM_MinorScanPrefetchOff(benchmark::State &State) {
-  minorScanBench(State, false);
-}
-BENCHMARK(BM_MinorScanPrefetchOff)->Arg(2048)->Arg(8192);
 
 /// Handle assignment through the SATB deletion barrier: overwriting a
 /// rooted slot mid concurrent mark must record the dropped value. The

@@ -231,6 +231,24 @@ private:
 // RootScope
 //===----------------------------------------------------------------------===//
 
+/// Reference-only view of a scope-owned root slot, returned by
+/// RootScope::slot. Binds to `Value &` but refuses to decay into a plain
+/// `Value`: `Value Xs = Scope.slot(...)` would silently copy the root into
+/// an *unregistered* local that a collection never updates, so that
+/// spelling is a compile error instead of a latent use-after-move.
+class RootedSlot {
+public:
+  /// Bind as `Value &Xs = Scope.slot(...)`.
+  operator Value &() const { return *Slot; }
+  /// `Value Xs = Scope.slot(...)` un-roots by copy; deleted.
+  operator Value() const = delete;
+
+private:
+  friend class RootScope;
+  explicit RootedSlot(Value &Slot) : Slot(&Slot) {}
+  Value *Slot;
+};
+
 /// An RAII shadow-stack frame that owns handle storage. All handles
 /// created through a scope live in fixed-capacity slot slabs the scope
 /// owns: one embedded inline, overflow slabs chained from the heap's
@@ -239,7 +257,9 @@ private:
 /// creating a slot is one slab store -- no per-slot ShadowStack push --
 /// and the destructor deregisters the whole frame wholesale. Slabs never
 /// move while registered, so handle slot addresses stay stable no matter
-/// how many slots a scope grows. Subsumes the old GcFrame.
+/// how many slots a scope grows. Slots the scope does not own (runtime
+/// tables, caller locals) register through rootExternal instead. This is
+/// the only RAII face for registering roots.
 class RootScope {
 public:
   explicit RootScope(VProcHeap &Heap)
@@ -291,19 +311,21 @@ public:
   template <typename T = Object> VecRef<T> rootVector(Value V);
 
   /// Low-level escape hatch: a scope-owned rooted slot holding \p V.
-  /// The reference stays valid (and registered) until the scope dies.
-  Value &slot(Value V) {
+  /// Bind the result as `Value &`; the slot stays valid (and registered)
+  /// until the scope dies.
+  RootedSlot slot(Value V) {
     if (MANTI_UNLIKELY(Cur->Count == RootSlab::Capacity))
       growSlab();
     Value &Out = Cur->Slots[Cur->Count++];
     Out = V;
     ++NumOwned;
-    return Out;
+    return RootedSlot(Out);
   }
 
   /// Registers \p Slot (an lvalue that outlives this scope) as a root
   /// without copying it into scope storage. For runtime-owned slots
-  /// (task environments, mailbox cells); handles are the normal path.
+  /// (task environments, mailbox cells) and caller locals an allocator
+  /// re-reads (a vector's element array); handles are the normal path.
   void rootExternal(Value &Slot) { Heap.ShadowStack.push_back(&Slot); }
 
   /// Number of slots this scope has created (tests / stats).

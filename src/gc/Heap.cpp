@@ -10,6 +10,7 @@
 #include "gc/HeapInternal.h"
 
 #include "gc/CollectorImpl.h"
+#include "gc/Handles.h"
 #include "support/Assert.h"
 #include "support/Compiler.h"
 #include "support/Logging.h"
@@ -372,30 +373,6 @@ Word *VProcHeap::allocSlowPath(uint16_t Id, uint64_t LenWords) {
 // Public allocators
 //===----------------------------------------------------------------------===//
 
-/// Out-of-line twins of the header-inlined fast path, kept only so the
-/// microbench can measure what the call-boundary version used to cost.
-MANTI_NOINLINE Word *VProcHeap::allocLocalOutlined(uint16_t Id,
-                                                   uint64_t LenWords) {
-  if (MANTI_UNLIKELY(World.Config.StressGC))
-    stressGCBeforeAlloc();
-  Stats.BytesAllocatedLocal += (LenWords + 1) * sizeof(Word);
-  if (Word *P = Local.tryAlloc(Id, LenWords))
-    return P;
-  return allocSlowPath(Id, LenWords);
-}
-
-MANTI_NOINLINE Value gcinternal::HeapAccess::allocRawOutlined(
-    VProcHeap &H, const void *Data, std::size_t Bytes) {
-  uint64_t LenWords = std::max<uint64_t>(1, divideCeil(Bytes, sizeof(Word)));
-  Word *Obj = H.allocLocalOutlined(IdRaw, LenWords);
-  Obj[LenWords - 1] = 0; // zero the tail beyond Bytes
-  if (Data)
-    std::memcpy(Obj, Data, Bytes);
-  else
-    std::memset(Obj, 0, LenWords * sizeof(Word));
-  return Value::fromPtr(Obj);
-}
-
 /// Vectors larger than a quarter of the local heap are allocated in the
 /// global heap directly (the paper's workloads use rope-like segmented
 /// structures for bulk data; this is the corresponding large-object
@@ -481,8 +458,8 @@ Value VProcHeap::allocVectorSlow(const Value *Elems, std::size_t N) {
 
 Value VProcHeap::allocVectorFillSlow(std::size_t N, Value Fill) {
   uint64_t LenWords = std::max<uint64_t>(1, N);
-  GcFrame Frame(*this);
-  Frame.root(Fill);
+  RootScope Scope(*this);
+  Scope.rootExternal(Fill);
   if (vectorIsOversized(N)) {
     Fill = promote(Fill);
     Word *Obj = globalAllocObject(IdVector, LenWords);

@@ -25,9 +25,8 @@
 /// global collector zeroing allocation limits.
 ///
 /// Rooting discipline: any Value live across an allocation must be
-/// registered in the shadow stack (RootScope in Handles.h; the
-/// collector-internal GcFrame in gc/HeapInternal.h is the raw face of
-/// the same stack).
+/// registered as a root, through RootScope (gc/Handles.h) -- the one
+/// face for the slab stack and the shadow stack alike.
 /// Allocation functions that take source Values receive *pointers to
 /// rooted slots* so the sources survive a collection triggered by the
 /// allocation itself.
@@ -71,7 +70,7 @@ class VProcHeap;
 
 namespace gcinternal {
 /// Gateway for the raw Value-level allocation surface (allocMixed,
-/// allocMixedRooted, GcFrame). Lives in gc/HeapInternal.h, which only
+/// allocMixedRooted). Lives in gc/HeapInternal.h, which only
 /// MANTI_GC_INTERNAL translation units (collectors, the handle layer,
 /// collector tests, gc_microbench) may include; everything else
 /// programs against gc/Handles.h.
@@ -172,12 +171,6 @@ struct GCConfig {
   /// major collection (the runs live in the nursery), so StressGC still
   /// collects -- and still catches rooting bugs -- at batch granularity.
   bool SizeClassCache = true;
-  /// Software-prefetch the next object's header and the current object's
-  /// pointer-field targets in the collector scan loops (minor Cheney
-  /// scan, global evacuator drain, concurrent marker drain). Knob so the
-  /// microbench ablation (BM_MinorScanPrefetch{On,Off}) can show the
-  /// delta.
-  bool ScanPrefetch = true;
 };
 
 /// Global-collection phase word. Single source of truth for "is any
@@ -331,9 +324,11 @@ public:
   // Roots
   //===--------------------------------------------------------------------===//
 
-  /// The shadow stack: slots whose Values are live across allocations.
-  /// Managed through RootScope (gc/Handles.h) and the internal GcFrame
-  /// (gc/HeapInternal.h); exposed for the collectors and tests.
+  /// The shadow stack: external root slots, i.e. storage no RootScope
+  /// owns -- RootScope::rootExternal registrations, the handle layer's
+  /// allocation-span roots (allocVectorOf, alloc<T>) and structure
+  /// heads. Scope-owned slots live in SlabStack. Exposed for the
+  /// collectors and tests.
   std::vector<Value *> ShadowStack;
 
   /// RootScope slot slabs, in scope-nesting order. Each live RootScope
@@ -402,9 +397,6 @@ private:
 
   Chunk *acquireChunkCounted();
   Word *allocLocalObject(uint16_t Id, uint64_t LenWords);
-  /// Out-of-line twin of allocLocalObject for the microbench's
-  /// before/after comparison (gcinternal::HeapAccess::allocRawOutlined).
-  Word *allocLocalOutlined(uint16_t Id, uint64_t LenWords);
   Word *allocSlowPath(uint16_t Id, uint64_t LenWords);
   Value allocVectorSlow(const Value *Elems, std::size_t N);
   Value allocVectorFillSlow(std::size_t N, Value Fill);

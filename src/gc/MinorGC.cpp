@@ -73,25 +73,12 @@ void manti::minorGCImpl(VProcHeap &H) {
       *Slot = F;
   });
 
-  // Cheney scan of the copied region. With ScanPrefetch the next
-  // object's header and this object's pointer targets (their headers,
-  // one word below the object) are requested ahead of use: the scan is
-  // memory-latency-bound on heaps bigger than cache, and the Forward
-  // pass touches exactly those lines a few dozen cycles later.
+  // Cheney scan of the copied region.
   const ObjectDescriptorTable &Descs = H.world().descriptors();
-  const bool Prefetch = H.world().config().ScanPrefetch;
   for (Word *Scan = DestBase; Scan < Dest;) {
     Word Hdr = *Scan;
     MANTI_CHECK(isHeaderWord(Hdr), "corrupt header in minor-GC scan");
     uint64_t Foot = objectFootprintWords(Hdr);
-    if (Prefetch) {
-      MANTI_PREFETCH(Scan + Foot);
-      forEachPtrField(Scan + 1, Hdr, Descs, [&](Word *Slot) {
-        Word W = *Slot;
-        if (wordIsPtr(W))
-          MANTI_PREFETCH(reinterpret_cast<Word *>(W) - 1);
-      });
-    }
     forEachPtrField(Scan + 1, Hdr, Descs,
                     [&](Word *Slot) { *Slot = Forward(*Slot); });
     Scan += Foot;

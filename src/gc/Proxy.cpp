@@ -4,13 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-// Proxies are part of the collector machinery and use the internal
-// rooting surface directly.
-#define MANTI_GC_INTERNAL 1
-
 #include "gc/Proxy.h"
 
-#include "gc/HeapInternal.h"
+#include "gc/Handles.h"
 
 #include "support/Assert.h"
 
@@ -20,8 +16,8 @@
 using namespace manti;
 
 Value manti::createProxy(VProcHeap &H, Value Payload) {
-  GcFrame Frame(H);
-  Frame.root(Payload);
+  RootScope Scope(H);
+  Scope.rootExternal(Payload);
   Word *Obj = H.globalAllocObject(IdProxy, 2);
   Obj[0] = Value::fromInt(static_cast<int64_t>(H.id())).bits();
   Obj[1] = Payload.bits();
@@ -54,8 +50,8 @@ Value manti::resolveProxy(VProcHeap &H, Value Proxy) {
   MANTI_CHECK(proxyOwner(Proxy) == H.id(),
               "resolveProxy: only the owning vproc may resolve");
 
-  GcFrame Frame(H);
-  Frame.root(Proxy);
+  RootScope Scope(H);
+  Scope.rootExternal(Proxy);
   Value Promoted = H.promote(proxyPayload(Proxy));
   // Promotion never moves the proxy itself (it is already global), but
   // re-read through the rooted value for clarity.

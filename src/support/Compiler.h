@@ -21,16 +21,11 @@
 #define MANTI_UNLIKELY(EXPR) __builtin_expect(static_cast<bool>(EXPR), false)
 #define MANTI_NOINLINE __attribute__((noinline))
 #define MANTI_ALWAYS_INLINE inline __attribute__((always_inline))
-/// Read-prefetch with high temporal locality: the scan loops issue these
-/// a few objects ahead of the cursor (read-only; the L1-bound hint suits
-/// headers and pointer fields that are touched within a few iterations).
-#define MANTI_PREFETCH(ADDR) __builtin_prefetch((ADDR), 0, 3)
 #else
 #define MANTI_LIKELY(EXPR) (EXPR)
 #define MANTI_UNLIKELY(EXPR) (EXPR)
 #define MANTI_NOINLINE
 #define MANTI_ALWAYS_INLINE inline
-#define MANTI_PREFETCH(ADDR) ((void)(ADDR))
 #endif
 
 namespace manti {

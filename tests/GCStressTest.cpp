@@ -141,8 +141,8 @@ private:
     int64_t Len = 1 + static_cast<int64_t>(Rng.nextBelow(48));
     Shadow S;
     S.Kind = Shadow::IntList;
-    GcFrame Frame(H);
-    Value &L = Frame.root(Value::nil());
+    RootScope Scope(H);
+    Value &L = Scope.slot(Value::nil());
     for (int64_t I = 0; I < Len; ++I) {
       int64_t X = static_cast<int64_t>(Rng.next() >> 16);
       L = cons(H, Value::fromInt(X), L);
@@ -205,8 +205,8 @@ private:
     int Slot = randomLiveSlot();
     if (Slot < 0 || Shadows[Slot].Kind != Shadow::IntList)
       return;
-    GcFrame Frame(H);
-    Value &P = Frame.root(createProxy(H, Roots[Slot]));
+    RootScope Scope(H);
+    Value &P = Scope.slot(createProxy(H, Roots[Slot]));
     if (Rng.nextBelow(2) == 0)
       H.minorGC();
     Value Resolved = resolveProxy(H, P);
@@ -342,11 +342,11 @@ TEST(GCEdge, OversizedRawGoesToDedicatedChunk) {
   GCConfig Cfg = smallConfig(); // 64 KiB chunks
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Scope(H);
   std::vector<uint8_t> Data(200 * 1024);
   for (std::size_t I = 0; I < Data.size(); ++I)
     Data[I] = static_cast<uint8_t>(I * 31);
-  Value &Big = Frame.root(H.allocGlobalRaw(Data.data(), Data.size()));
+  Value &Big = Scope.slot(H.allocGlobalRaw(Data.data(), Data.size()));
   EXPECT_TRUE(isGlobal(TW.World, Big));
   EXPECT_EQ(std::memcmp(rawData(Big), Data.data(), Data.size()), 0);
   // chunkOf must find it through the oversized index.
@@ -358,11 +358,11 @@ TEST(GCEdge, OversizedObjectSurvivesGlobalGC) {
   GCConfig Cfg = smallConfig();
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Scope(H);
   std::vector<uint8_t> Data(150 * 1024);
   for (std::size_t I = 0; I < Data.size(); ++I)
     Data[I] = static_cast<uint8_t>(I * 13 + 1);
-  Value &Big = Frame.root(H.allocGlobalRaw(Data.data(), Data.size()));
+  Value &Big = Scope.slot(H.allocGlobalRaw(Data.data(), Data.size()));
   Word *Before = Big.asPtr();
   TW.World.requestGlobalGC();
   H.safePoint();
@@ -376,8 +376,8 @@ TEST(GCEdge, OversizedGarbageIsFreed) {
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
   {
-    GcFrame Frame(H);
-    Value &Big = Frame.root(H.allocGlobalRaw(nullptr, 300 * 1024));
+    RootScope Scope(H);
+    Value &Big = Scope.slot(H.allocGlobalRaw(nullptr, 300 * 1024));
     (void)Big;
   }
   uint64_t ActiveBefore = TW.World.chunks().activeBytes();
@@ -391,10 +391,10 @@ TEST(GCEdge, LocalRawAboveNurseryGoesGlobal) {
   GCConfig Cfg = smallConfig(); // 128 KiB heap, 64 KiB nursery
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Scope(H);
   // 80 KiB cannot fit any nursery: the slow path routes it globally
   // (raw data carries no pointers, so this is invariant-safe).
-  Value &Big = Frame.root(H.allocRaw(nullptr, 80 * 1024));
+  Value &Big = Scope.slot(H.allocRaw(nullptr, 80 * 1024));
   EXPECT_TRUE(isGlobal(TW.World, Big));
   EXPECT_GT(H.Stats.BytesAllocatedGlobal, 0u);
 }
@@ -403,16 +403,16 @@ TEST(GCEdge, OversizedVectorPromotesItsElements) {
   GCConfig Cfg = smallConfig();
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Scope(H);
   // Vector bigger than LocalHeapBytes/4 forces the global path, which
   // must promote the (local) elements first.
   const std::size_t N = Cfg.LocalHeapBytes / 4 / 8 + 16;
   std::vector<Value> Elems(N, Value::nil());
-  Value &First = Frame.root(makeIntList(H, 5));
+  Value &First = Scope.slot(makeIntList(H, 5));
   for (auto &E : Elems)
-    Frame.root(E); // root every slot
+    Scope.rootExternal(E); // root every slot
   Elems[0] = First;
-  Value &Vec = Frame.root(H.allocVector(Elems.data(), N));
+  Value &Vec = Scope.slot(H.allocVector(Elems.data(), N));
   EXPECT_TRUE(isGlobal(TW.World, Vec));
   Value Head = vectorGet(Vec, 0);
   EXPECT_TRUE(isGlobal(TW.World, Head))
@@ -429,7 +429,7 @@ TEST(GCEdge, EmergencyEvacuationWhenHeapCrowded) {
   Cfg.GlobalGCBytesPerVProc = 8 * 1024 * 1024;
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Scope(H);
   // Live data approaching the whole local heap forces the AllLocal
   // emergency path; everything must survive in the global heap.
   std::deque<Value> Keep;
@@ -451,8 +451,8 @@ TEST(GCEdge, EmergencyEvacuationWhenHeapCrowded) {
 TEST(GCEdge, AggregateStatsSumAcrossVProcs) {
   TestWorld TW(3);
   for (unsigned V = 0; V < 3; ++V) {
-    GcFrame Frame(TW.heap(V));
-    Value &L = Frame.root(makeIntList(TW.heap(V), 10));
+    RootScope Scope(TW.heap(V));
+    Value &L = Scope.slot(makeIntList(TW.heap(V), 10));
     (void)L;
     TW.heap(V).minorGC();
   }
@@ -471,8 +471,8 @@ TEST(GCEdge, AggregateStatsSumAcrossVProcs) {
 TEST(GCEdgeDeath, GlobalVectorRejectsLocalElements) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Local = Frame.root(makeIntList(H, 3));
+  RootScope Scope(H);
+  Value &Local = Scope.slot(makeIntList(H, 3));
   Value Elems[1] = {Local};
   EXPECT_DEATH(H.allocGlobalVector(Elems, 1), "references a local heap");
 }

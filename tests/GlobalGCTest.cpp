@@ -24,13 +24,13 @@ using namespace manti::test;
 TEST(GlobalGC, SingleVProcCollectsGarbage) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 50));
+  RootScope Scope(H);
+  Value &Keep = Scope.slot(makeIntList(H, 50));
   Keep = H.promote(Keep);
   // Create global garbage: promote and drop.
   for (int I = 0; I < 40; ++I) {
-    GcFrame Inner(H);
-    Value &Junk = Inner.root(makeIntList(H, 100));
+    RootScope Inner(H);
+    Value &Junk = Inner.slot(makeIntList(H, 100));
     H.promote(Junk);
   }
   uint64_t ActiveBefore = TW.World.chunks().activeBytes();
@@ -57,13 +57,13 @@ TEST(GlobalGC, TriggeredAutomaticallyByThreshold) {
   Cfg.GlobalGCBytesPerVProc = 256 * 1024; // tiny budget: 4 chunks
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 20));
-  Frame.root(Keep);
+  RootScope Scope(H);
+  Value &Keep = Scope.slot(makeIntList(H, 20));
+  Scope.rootExternal(Keep);
   for (int I = 0; I < 200 && TW.World.globalGCCount() == 0; ++I) {
     {
-      GcFrame Inner(H);
-      Value &Junk = Inner.root(makeIntList(H, 200));
+      RootScope Inner(H);
+      Value &Junk = Inner.slot(makeIntList(H, 200));
       H.promote(Junk);
     }
     H.safePoint();
@@ -76,8 +76,8 @@ TEST(GlobalGC, TriggeredAutomaticallyByThreshold) {
 TEST(GlobalGC, YoungDataSurvivesInLocalHeap) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &LocalList = Frame.root(makeIntList(H, 25));
+  RootScope Scope(H);
+  Value &LocalList = Scope.slot(makeIntList(H, 25));
   TW.World.requestGlobalGC();
   H.safePoint();
   EXPECT_TRUE(isLocalTo(H, LocalList))
@@ -89,16 +89,16 @@ TEST(GlobalGC, CompactsLiveDataIntoFewerChunks) {
   GCConfig Cfg = smallConfig();
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Scope(H);
   // Interleave live and dead promotions so live data is spread thinly
   // over many from-space chunks.
   std::vector<Value> Kept(10);
   for (auto &Slot : Kept)
-    Frame.root(Slot);
+    Scope.rootExternal(Slot);
   for (int Round = 0; Round < 10; ++Round) {
     Kept[Round] = H.promote(makeIntList(H, 30));
-    GcFrame Inner(H);
-    Value &Junk = Inner.root(makeIntList(H, 600));
+    RootScope Inner(H);
+    Value &Junk = Inner.slot(makeIntList(H, 600));
     H.promote(Junk);
   }
   unsigned ChunksBefore =
@@ -116,9 +116,9 @@ TEST(GlobalGC, CompactsLiveDataIntoFewerChunks) {
 TEST(GlobalGC, ProxiesMoveAndTablesFollow) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 8));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Scope(H);
+  Value &Payload = Scope.slot(makeIntList(H, 8));
+  Value &P = Scope.slot(createProxy(H, Payload));
   Word *ProxyBefore = P.asPtr();
   TW.World.requestGlobalGC();
   H.safePoint();
@@ -138,11 +138,11 @@ TEST(GlobalGC, AdaptiveThresholdGrowsWithLiveData) {
   Cfg.GlobalGCBytesPerVProc = 128 * 1024;
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Scope(H);
   // Keep a lot of live global data.
   std::vector<Value> Kept(12);
   for (auto &Slot : Kept) {
-    Frame.root(Slot);
+    Scope.rootExternal(Slot);
     Slot = H.promote(makeIntList(H, 800));
   }
   TW.World.requestGlobalGC();
@@ -201,14 +201,14 @@ TEST(GlobalGCParallel, FourVProcsCollectTogether) {
     TW.heap(I).ShadowStack.push_back(&DurableKeeps[I]);
 
   runOnVProcs(TW.World, [](VProcHeap &H) {
-    GcFrame Frame(H);
-    Value &Keep = Frame.root(makeIntList(H, 40));
+    RootScope Scope(H);
+    Value &Keep = Scope.slot(makeIntList(H, 40));
     Keep = H.promote(Keep);
     DurableKeeps[H.id()] = Keep;
     for (int I = 0; I < 120; ++I) {
       {
-        GcFrame Inner(H);
-        Value &Junk = Inner.root(makeIntList(H, 120));
+        RootScope Inner(H);
+        Value &Junk = Inner.slot(makeIntList(H, 120));
         H.promote(Junk);
       }
       H.safePoint();
@@ -229,15 +229,15 @@ TEST(GlobalGCParallel, MixedLocalAndGlobalLiveData) {
   TestWorld TW(3, Cfg, Topology::uniform(3, 1));
 
   runOnVProcs(TW.World, [](VProcHeap &H) {
-    GcFrame Frame(H);
-    Value &LocalKeep = Frame.root(makeIntList(H, 15));
-    Value &GlobalKeep = Frame.root(makeIntList(H, 15));
+    RootScope Scope(H);
+    Value &LocalKeep = Scope.slot(makeIntList(H, 15));
+    Value &GlobalKeep = Scope.slot(makeIntList(H, 15));
     GlobalKeep = H.promote(GlobalKeep);
     for (int I = 0; I < 200; ++I) {
       allocGarbage(H, 40);
       if (I % 3 == 0) {
-        GcFrame Inner(H);
-        Value &Junk = Inner.root(makeIntList(H, 80));
+        RootScope Inner(H);
+        Value &Junk = Inner.slot(makeIntList(H, 80));
         H.promote(Junk);
       }
       H.safePoint();
@@ -268,8 +268,8 @@ void stepCycleToCompletion(GCWorld &W, VProcHeap &H) {
 TEST(ConcurrentGlobalGC, PhaseMachineSteps) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 20));
+  RootScope Scope(H);
+  Value &Keep = Scope.slot(makeIntList(H, 20));
   Keep = H.promote(Keep);
 
   ASSERT_TRUE(TW.World.startConcurrentMark());
@@ -293,14 +293,14 @@ TEST(ConcurrentGlobalGC, PhaseMachineSteps) {
 TEST(ConcurrentGlobalGC, SingleVProcCollectsGarbage) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 50));
+  RootScope Scope(H);
+  Value &Keep = Scope.slot(makeIntList(H, 50));
   Keep = H.promote(Keep);
   // Whole-chunk garbage: the non-moving sweep reclaims chunks with no
   // marked objects, so the junk must span several chunks by itself.
   for (int I = 0; I < 40; ++I) {
-    GcFrame Inner(H);
-    Value &Junk = Inner.root(makeIntList(H, 200));
+    RootScope Inner(H);
+    Value &Junk = Inner.slot(makeIntList(H, 200));
     H.promote(Junk);
   }
   uint64_t ActiveBefore = TW.World.chunks().activeBytes();
@@ -400,9 +400,9 @@ TEST(ConcurrentGlobalGC, VecRefOverwriteMidMarkKeepsSnapshotSafe) {
 TEST(ConcurrentGlobalGC, ProxyResolutionMidMark) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 8));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Scope(H);
+  Value &Payload = Scope.slot(makeIntList(H, 8));
+  Value &P = Scope.slot(createProxy(H, Payload));
 
   ASSERT_TRUE(TW.World.startConcurrentMark());
   H.safePoint();
@@ -422,8 +422,8 @@ TEST(ConcurrentGlobalGC, ProxyResolutionMidMark) {
 TEST(ConcurrentGlobalGC, StwRequestDoesNotPreemptRunningCycle) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 20));
+  RootScope Scope(H);
+  Value &Keep = Scope.slot(makeIntList(H, 20));
   Keep = H.promote(Keep);
 
   ASSERT_TRUE(TW.World.startConcurrentMark());
@@ -446,13 +446,13 @@ TEST(ConcurrentGlobalGC, WatermarkTriggersAutomatically) {
   Cfg.ConcurrentMarkWatermark = 0.5;
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 20));
+  RootScope Scope(H);
+  Value &Keep = Scope.slot(makeIntList(H, 20));
   Keep = H.promote(Keep);
   for (int I = 0; I < 400 && TW.World.concurrentGCCount() == 0; ++I) {
     {
-      GcFrame Inner(H);
-      Value &Junk = Inner.root(makeIntList(H, 200));
+      RootScope Inner(H);
+      Value &Junk = Inner.slot(makeIntList(H, 200));
       H.promote(Junk);
     }
     H.safePoint();
@@ -505,8 +505,8 @@ TEST(GlobalGCParallel, StatsAggregateAcrossVProcs) {
 
   runOnVProcs(TW.World, [](VProcHeap &H) {
     for (int I = 0; I < 150; ++I) {
-      GcFrame Inner(H);
-      Value &Junk = Inner.root(makeIntList(H, 100));
+      RootScope Inner(H);
+      Value &Junk = Inner.slot(makeIntList(H, 100));
       H.promote(Junk);
       H.safePoint();
     }

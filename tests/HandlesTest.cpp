@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 using namespace manti;
@@ -80,6 +81,14 @@ static_assert(!std::is_copy_constructible_v<Ref<Object>> &&
               "handles are non-copyable");
 static_assert(std::is_move_constructible_v<Ref<Object>>,
               "handles are movable within their scope");
+// RootScope::slot's raw slot binds as Value& but refuses the
+// silently-unrooting by-value copy `Value X = Scope.slot(...)`.
+using SlotResult =
+    decltype(std::declval<RootScope &>().slot(std::declval<Value>()));
+static_assert(std::is_convertible_v<SlotResult, Value &>,
+              "Value &X = Scope.slot(...) must bind");
+static_assert(!std::is_convertible_v<SlotResult, Value>,
+              "Value X = Scope.slot(...) must not compile");
 //===----------------------------------------------------------------------===//
 // ObjectType registration round-trips (ObjectDescriptorTest parity)
 //===----------------------------------------------------------------------===//
@@ -340,6 +349,71 @@ TEST(Handles, SlabGrowthAcrossNestedScopes) {
   H.minorGC();
   H.majorGC();
   verifyHeap(H);
+}
+
+TEST(Handles, ExternalAndSlabSlotsForwardedInNestedScopes) {
+  // rootExternal registers caller-owned storage on the shadow stack while
+  // slot() fills the scope's slab: every collector flavor must forward
+  // both kinds, and each scope must deregister exactly what it added.
+  // A stress period longer than the test's allocation count keeps forced
+  // collections out of the setup, so each explicit collection below is
+  // the one that moves the lists (the MANTI_STRESS_GC_PERIOD override
+  // would clobber the pinned period).
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
+  GCConfig Cfg = smallConfig();
+  Cfg.StressGCPeriod = 1u << 20;
+  TestWorld TW(1, Cfg);
+  VProcHeap &H = TW.heap();
+  const std::size_t Before = H.numRegisteredRootSlots();
+  {
+    RootScope Outer(H);
+    Value OuterExt = Value::nil();
+    Outer.rootExternal(OuterExt);
+    OuterExt = makeIntList(H, 6);
+    Value &OuterSlab = Outer.slot(makeIntList(H, 7));
+    EXPECT_EQ(H.numRegisteredRootSlots(), Before + 2);
+    {
+      RootScope Inner(H);
+      Value InnerExt = Value::nil();
+      Inner.rootExternal(InnerExt);
+      InnerExt = makeIntList(H, 8);
+      Value &InnerSlab = Inner.slot(makeIntList(H, 9));
+      EXPECT_EQ(H.numRegisteredRootSlots(), Before + 4);
+
+      Value *Roots[] = {&OuterExt, &OuterSlab, &InnerExt, &InnerSlab};
+      auto CollectAndCheck = [&](const char *What, auto Collect,
+                                 bool WantGlobal) {
+        Word Old[4];
+        for (int I = 0; I < 4; ++I)
+          Old[I] = Roots[I]->bits();
+        Collect();
+        for (int I = 0; I < 4; ++I) {
+          EXPECT_NE(Roots[I]->bits(), Old[I])
+              << What << " must forward root " << I;
+          EXPECT_EQ(isGlobal(TW.World, *Roots[I]), WantGlobal)
+              << What << ", root " << I;
+          EXPECT_EQ(listSum(*Roots[I]), intListSum(6 + I))
+              << What << ", root " << I;
+        }
+      };
+      CollectAndCheck("minor", [&] { H.minorGC(); }, false);
+      H.minorGC(); // the lists age into the old area
+      CollectAndCheck("major", [&] { H.majorGC(); }, true);
+      CollectAndCheck(
+          "STW global",
+          [&] {
+            TW.World.requestGlobalGC();
+            H.safePoint();
+          },
+          true);
+      EXPECT_EQ(TW.World.globalGCCount(), 1u);
+      verifyHeap(H);
+    }
+    EXPECT_EQ(H.numRegisteredRootSlots(), Before + 2);
+    EXPECT_EQ(listSum(OuterExt), intListSum(6));
+    EXPECT_EQ(listSum(OuterSlab), intListSum(7));
+  }
+  EXPECT_EQ(H.numRegisteredRootSlots(), Before);
 }
 
 TEST(Handles, HandleStabilityWhileSlabsGrow) {

@@ -21,9 +21,9 @@ using namespace manti::test;
 TEST(Proxy, CreateAllocatesGlobalObject) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 4));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Scope(H);
+  Value &Payload = Scope.slot(makeIntList(H, 4));
+  Value &P = Scope.slot(createProxy(H, Payload));
   EXPECT_TRUE(isProxy(P));
   EXPECT_TRUE(isGlobal(TW.World, P));
   EXPECT_FALSE(proxyResolved(P));
@@ -34,9 +34,9 @@ TEST(Proxy, CreateAllocatesGlobalObject) {
 TEST(Proxy, PayloadStaysLocalUntilResolved) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 4));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Scope(H);
+  Value &Payload = Scope.slot(makeIntList(H, 4));
+  Value &P = Scope.slot(createProxy(H, Payload));
   EXPECT_TRUE(isLocalTo(H, proxyPayload(P)))
       << "the whole point of a proxy: global object, local payload";
   verifyHeap(H); // sanctioned exception must pass the invariant checker
@@ -45,9 +45,9 @@ TEST(Proxy, PayloadStaysLocalUntilResolved) {
 TEST(Proxy, OwnerMinorGCForwardsPayload) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 6));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Scope(H);
+  Value &Payload = Scope.slot(makeIntList(H, 6));
+  Value &P = Scope.slot(createProxy(H, Payload));
   H.minorGC();
   // The payload moved out of the nursery; the proxy's slot must track it.
   Value NewPayload = proxyPayload(P);
@@ -58,12 +58,12 @@ TEST(Proxy, OwnerMinorGCForwardsPayload) {
 TEST(Proxy, PayloadSurvivesEvenWithoutOtherRoots) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Scope(H);
   Value P;
-  Frame.root(P); // rooted before the proxy is stored into it
+  Scope.rootExternal(P); // rooted before the proxy is stored into it
   {
-    GcFrame Inner(H);
-    Value &Payload = Inner.root(makeIntList(H, 9));
+    RootScope Inner(H);
+    Value &Payload = Inner.slot(makeIntList(H, 9));
     P = createProxy(H, Payload);
     // Payload's own root goes away here; only the proxy table keeps the
     // list alive.
@@ -77,10 +77,10 @@ TEST(Proxy, PayloadSurvivesEvenWithoutOtherRoots) {
 TEST(Proxy, ResolvePromotesPayload) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 5));
-  Value &P = Frame.root(createProxy(H, Payload));
-  Value &Global = Frame.root(resolveProxy(H, P));
+  RootScope Scope(H);
+  Value &Payload = Scope.slot(makeIntList(H, 5));
+  Value &P = Scope.slot(createProxy(H, Payload));
+  Value &Global = Scope.slot(resolveProxy(H, P));
   EXPECT_TRUE(proxyResolved(P));
   EXPECT_TRUE(isGlobal(TW.World, Global));
   EXPECT_EQ(proxyPayload(P), Global);
@@ -91,9 +91,9 @@ TEST(Proxy, ResolvePromotesPayload) {
 TEST(Proxy, ResolvedProxySurvivesLocalGCsUntouched) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 5));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Scope(H);
+  Value &Payload = Scope.slot(makeIntList(H, 5));
+  Value &P = Scope.slot(createProxy(H, Payload));
   resolveProxy(H, P);
   H.majorGC();
   EXPECT_TRUE(proxyResolved(P));
@@ -104,8 +104,8 @@ TEST(Proxy, ResolvedProxySurvivesLocalGCsUntouched) {
 TEST(Proxy, IntPayloadNeedsNoHeap) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &P = Frame.root(createProxy(H, Value::fromInt(77)));
+  RootScope Scope(H);
+  Value &P = Scope.slot(createProxy(H, Value::fromInt(77)));
   EXPECT_EQ(proxyPayload(P).asInt(), 77);
   Value R = resolveProxy(H, P);
   EXPECT_EQ(R.asInt(), 77);
@@ -114,11 +114,11 @@ TEST(Proxy, IntPayloadNeedsNoHeap) {
 TEST(Proxy, MultipleProxiesTrackIndependently) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &PayA = Frame.root(makeIntList(H, 3));
-  Value &PayB = Frame.root(makeIntList(H, 7));
-  Value &PA = Frame.root(createProxy(H, PayA));
-  Value &PB = Frame.root(createProxy(H, PayB));
+  RootScope Scope(H);
+  Value &PayA = Scope.slot(makeIntList(H, 3));
+  Value &PayB = Scope.slot(makeIntList(H, 7));
+  Value &PA = Scope.slot(createProxy(H, PayA));
+  Value &PB = Scope.slot(createProxy(H, PayB));
   EXPECT_EQ(H.ProxyTable.size(), 2u);
   H.minorGC();
   EXPECT_EQ(listSum(proxyPayload(PA)), intListSum(3));
@@ -132,7 +132,7 @@ TEST(Proxy, DeathOnForeignResolve) {
   TestWorld TW(2);
   VProcHeap &H0 = TW.heap(0);
   VProcHeap &H1 = TW.heap(1);
-  GcFrame Frame(H0);
-  Value &P = Frame.root(createProxy(H0, Value::fromInt(1)));
+  RootScope Scope(H0);
+  Value &P = Scope.slot(createProxy(H0, Value::fromInt(1)));
   EXPECT_DEATH(resolveProxy(H1, P), "owning vproc");
 }
