@@ -5,7 +5,8 @@
 // google-benchmark measurements of the real (not simulated) collector:
 // bump allocation, minor/major collection throughput, promotion cost,
 // and global collection pause, plus the descriptor-driven scanning the
-// paper's Section 3.2 motivates.
+// paper's Section 3.2 motivates, and the rope bulk build the workloads
+// allocate through.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "gc/HeapInternal.h"
 #include "gc/HeapVerifier.h"
 #include "numa/Topology.h"
+#include "runtime/Rope.h"
 
 #include <benchmark/benchmark.h>
 
@@ -281,5 +283,28 @@ static void BM_RefAssign(benchmark::State &State) {
   State.counters["mid_mark"] = MidMark ? 1 : 0;
 }
 BENCHMARK(BM_RefAssign)->Arg(0)->Arg(1);
+
+/// Rope bulk build: rope::fromArray over a flat buffer of N scalars, the
+/// path every quicksort frame and partition leaf takes to turn C++
+/// scratch back into heap data. Reported per element. The local heap
+/// holds the largest rope, so collections reclaim only dead ropes and
+/// the figure is the builder's own cost.
+static void BM_RopeFromArray(benchmark::State &State) {
+  GCConfig Cfg = benchConfig();
+  Cfg.LocalHeapBytes = 16 * 1024 * 1024;
+  GCWorld World(Cfg, Topology::singleNode(1), 1);
+  registerRopeDescriptors(World);
+  VProcHeap &H = World.heap(0);
+  int64_t N = State.range(0);
+  std::vector<uint64_t> Data(static_cast<std::size_t>(N));
+  for (std::size_t I = 0; I < Data.size(); ++I)
+    Data[I] = I;
+  for (auto _ : State) {
+    Value R = rope::fromArray(H, Data.data(), N);
+    benchmark::DoNotOptimize(R);
+  }
+  State.SetItemsProcessed(State.iterations() * N);
+}
+BENCHMARK(BM_RopeFromArray)->Arg(1024)->Arg(16384)->Arg(262144);
 
 BENCHMARK_MAIN();

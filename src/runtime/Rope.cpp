@@ -38,23 +38,18 @@ Value makeNode(VProcHeap &H, Value Left, Value Right) {
   return N.value();
 }
 
-/// Builds a balanced rope over Gen for [Lo, Hi).
-Value buildBalanced(VProcHeap &H, int64_t Lo, int64_t Hi,
-                    uint64_t (*Gen)(int64_t, void *), void *Ctx) {
+/// Builds a balanced rope over Data[Lo, Hi); each leaf is one copy.
+Value buildBalanced(VProcHeap &H, const uint64_t *Data, int64_t Lo,
+                    int64_t Hi) {
   int64_t N = Hi - Lo;
-  if (N <= LeafElems) {
-    Value Leaf = H.allocRaw(nullptr, static_cast<std::size_t>(N) * 8);
-    uint64_t *Data = static_cast<uint64_t *>(rawData(Leaf));
-    for (int64_t I = 0; I < N; ++I)
-      Data[I] = Gen(Lo + I, Ctx);
-    return Leaf;
-  }
+  if (N <= LeafElems)
+    return H.allocRaw(Data + Lo, static_cast<std::size_t>(N) * 8);
   // Split on a leaf-aligned midpoint for a balanced tree.
   int64_t Leaves = divideCeil(static_cast<uint64_t>(N), LeafElems);
   int64_t Mid = Lo + (Leaves / 2) * LeafElems;
   RootScope S(H);
-  Ref<> Left = S.root(buildBalanced(H, Lo, Mid, Gen, Ctx));
-  Ref<> Right = S.root(buildBalanced(H, Mid, Hi, Gen, Ctx));
+  Ref<> Left = S.root(buildBalanced(H, Data, Lo, Mid));
+  Ref<> Right = S.root(buildBalanced(H, Data, Mid, Hi));
   return makeNode(H, Left, Right);
 }
 
@@ -79,23 +74,10 @@ int64_t manti::rope::depth(Value Rope) {
   return Node::get<&RopeNode::Depth>(Rope);
 }
 
-Value manti::rope::fromFunction(VProcHeap &H, int64_t N,
-                                uint64_t (*Gen)(int64_t, void *), void *Ctx) {
+Value manti::rope::fromArray(VProcHeap &H, const uint64_t *Data, int64_t N) {
   if (N <= 0)
     return Value::nil();
-  return buildBalanced(H, 0, N, Gen, Ctx);
-}
-
-Value manti::rope::fromArray(VProcHeap &H, const uint64_t *Data, int64_t N) {
-  struct Ctx {
-    const uint64_t *Data;
-  } C{Data};
-  return fromFunction(
-      H, N,
-      [](int64_t I, void *CtxP) {
-        return static_cast<Ctx *>(CtxP)->Data[I];
-      },
-      &C);
+  return buildBalanced(H, Data, 0, N);
 }
 
 uint64_t manti::rope::get(Value Rope, int64_t Index) {

@@ -16,7 +16,10 @@
 /// Leaves are sized to stay well under a local heap's large-object
 /// bound, keeping rope construction in the nurseries where allocation is
 /// a bump -- exactly the allocation profile the paper's collector is
-/// designed around.
+/// designed around. There is one builder, fromArray over a flat buffer:
+/// it splits on leaf-aligned midpoints and builds each leaf with a single
+/// copy into its freshly bumped object, so a leaf's scalars are written
+/// once (no zero-fill, no per-element call).
 ///
 /// All operations are pure: building, concatenating, mapping, and
 /// updating produce new ropes.
@@ -60,11 +63,10 @@ namespace rope {
 /// Maximum scalars per leaf.
 inline constexpr int64_t LeafElems = 1024;
 
-/// Builds a rope of \p N scalars where element i is Gen(i, Ctx).
-Value fromFunction(VProcHeap &H, int64_t N, uint64_t (*Gen)(int64_t I, void *Ctx),
-                   void *Ctx);
-
-/// Builds a rope from \p N packed scalars.
+/// Builds a balanced rope from \p N packed scalars (nil when N <= 0).
+/// Each leaf is one copy of up to LeafElems scalars out of \p Data, which
+/// must be C++ memory: a collection during the build would move heap
+/// memory.
 Value fromArray(VProcHeap &H, const uint64_t *Data, int64_t N);
 
 /// Number of scalars in the rope.
@@ -95,12 +97,6 @@ bool isRope(GCWorld &W, Value V);
 // Value-level functions above remain for allocation-free traversal
 // (length, get, toArray) where no rooting is needed.
 //===----------------------------------------------------------------------===//
-
-inline Ref<Object> fromFunction(RootScope &S, int64_t N,
-                                uint64_t (*Gen)(int64_t I, void *Ctx),
-                                void *Ctx) {
-  return S.root(fromFunction(S.heap(), N, Gen, Ctx));
-}
 
 inline Ref<Object> fromArray(RootScope &S, const uint64_t *Data, int64_t N) {
   return S.root(fromArray(S.heap(), Data, N));

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <vector>
 
 using namespace manti;
@@ -50,14 +51,20 @@ void sortTask(Runtime &RT, VProc &VP, Task T) {
   Split.Join.sub();
 }
 
+/// Scratch for \p N scalars that the caller overwrites in full, so it is
+/// not zero-filled first.
+std::unique_ptr<uint64_t[]> scratch(int64_t N) {
+  return std::unique_ptr<uint64_t[]>(new uint64_t[static_cast<std::size_t>(N)]);
+}
+
 /// Sequential base case: materialize, std::sort, rebuild.
 Value sortLeaf(VProc &VP, Value R) {
   int64_t N = rope::length(R);
-  std::vector<uint64_t> Buf(static_cast<std::size_t>(N));
-  rope::toArray(R, Buf.data());
-  std::sort(Buf.begin(), Buf.end(),
+  std::unique_ptr<uint64_t[]> Buf = scratch(N);
+  rope::toArray(R, Buf.get());
+  std::sort(Buf.get(), Buf.get() + N,
             [](uint64_t A, uint64_t B) { return asInt(A) < asInt(B); });
-  return rope::fromArray(VP.heap(), Buf.data(), N);
+  return rope::fromArray(VP.heap(), Buf.get(), N);
 }
 
 /// One frame's partition step: its flat copy of the input and the pivot.
@@ -73,7 +80,9 @@ struct PartitionCtx {
 /// sorted and reverse-sorted inputs stay monotone at every level and the
 /// median-of-three pivot keeps halving them. (An unstable in-place
 /// partition per slice, concatenated, makes reverse-sorted input a
-/// median-of-three killer: quadratic.)
+/// median-of-three killer: quadratic.) The scatter has no branch: an
+/// element's class (x >= p) + (x > p) picks its destination cursor, so a
+/// random input costs no mispredictions.
 Ref<> partitionLeaf(Runtime &, VProc &, RootScope &S, int64_t Lo, int64_t Hi,
                     void *CtxP) {
   auto &Ctx = *static_cast<PartitionCtx *>(CtxP);
@@ -84,19 +93,16 @@ Ref<> partitionLeaf(Runtime &, VProc &, RootScope &S, int64_t Lo, int64_t Hi,
     NumLess += asInt(*P) < Pivot;
     NumEqual += asInt(*P) == Pivot;
   }
-  std::vector<uint64_t> Out(static_cast<std::size_t>(Hi - Lo));
-  uint64_t *L = Out.data(), *E = L + NumLess, *G = E + NumEqual;
+  std::unique_ptr<uint64_t[]> Out = scratch(Hi - Lo);
+  uint64_t *Dst[3] = {Out.get(), Out.get() + NumLess,
+                      Out.get() + NumLess + NumEqual};
   for (const uint64_t *P = First; P != End; ++P) {
-    if (asInt(*P) < Pivot)
-      *L++ = *P;
-    else if (asInt(*P) == Pivot)
-      *E++ = *P;
-    else
-      *G++ = *P;
+    uint64_t X = *P;
+    *Dst[(asInt(X) >= Pivot) + (asInt(X) > Pivot)]++ = X;
   }
-  Ref<> Less = rope::fromArray(S, Out.data(), NumLess);
-  Ref<> Equal = rope::fromArray(S, Out.data() + NumLess, NumEqual);
-  Ref<> Greater = rope::fromArray(S, Out.data() + NumLess + NumEqual,
+  Ref<> Less = rope::fromArray(S, Out.get(), NumLess);
+  Ref<> Equal = rope::fromArray(S, Out.get() + NumLess, NumEqual);
+  Ref<> Greater = rope::fromArray(S, Out.get() + NumLess + NumEqual,
                                   Hi - Lo - NumLess - NumEqual);
   return allocVectorOf(S, Less, Equal, Greater);
 }
@@ -135,17 +141,17 @@ Value manti::workloads::quicksort(Runtime &RT, VProc &VP, Value R,
   Ref<> EqualRope = S.root(Value::nil());
   Ref<> GreaterRope = S.root(Value::nil());
   {
-    std::vector<uint64_t> Buf(static_cast<std::size_t>(N));
-    rope::toArray(In, Buf.data());
+    std::unique_ptr<uint64_t[]> Buf = scratch(N);
+    rope::toArray(In, Buf.get());
     In = Value::nil(); // through the handle: the deletion barrier sees it
-    int64_t A = asInt(Buf.front());
-    int64_t B = asInt(Buf[static_cast<std::size_t>(N / 2)]);
-    int64_t C = asInt(Buf.back());
+    int64_t A = asInt(Buf[0]);
+    int64_t B = asInt(Buf[N / 2]);
+    int64_t C = asInt(Buf[N - 1]);
     int64_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
 
     // A frame no larger than the grain makes a single leaf call: the
     // sequential partition.
-    PartitionCtx Ctx{Buf.data(), Pivot};
+    PartitionCtx Ctx{Buf.get(), Pivot};
     Ref<> Parts = parallelReduce(S, RT, VP, 0, N, QuicksortPartitionGrain,
                                  partitionLeaf, concatTriples, &Ctx);
     LessRope = vectorGet(Parts, 0);

@@ -7,9 +7,12 @@
 #include "GCTestUtils.h"
 #include "gc/HeapVerifier.h"
 #include "runtime/Rope.h"
+#include "support/MathExtras.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
 using namespace manti;
@@ -21,13 +24,24 @@ struct RopeWorld : TestWorld {
   RopeWorld() { registerRopeDescriptors(World); }
 };
 
-uint64_t identity(int64_t I, void *) { return static_cast<uint64_t>(I); }
+/// The scalars First, First + 1, ..., First + N - 1.
+std::vector<uint64_t> iota(int64_t N, uint64_t First = 0) {
+  std::vector<uint64_t> V(static_cast<std::size_t>(N));
+  std::iota(V.begin(), V.end(), First);
+  return V;
+}
+
+/// A rope over iota(N, First).
+Value iotaRope(VProcHeap &H, int64_t N, uint64_t First = 0) {
+  std::vector<uint64_t> V = iota(N, First);
+  return rope::fromArray(H, V.data(), N);
+}
 
 } // namespace
 
 TEST(Rope, EmptyRopeIsNil) {
   RopeWorld TW;
-  Value R = rope::fromFunction(TW.heap(), 0, identity, nullptr);
+  Value R = iotaRope(TW.heap(), 0);
   EXPECT_TRUE(R.isNil());
   EXPECT_EQ(rope::length(R), 0);
 }
@@ -35,7 +49,7 @@ TEST(Rope, EmptyRopeIsNil) {
 TEST(Rope, SingleLeaf) {
   RopeWorld TW;
   RootScope Scope(TW.heap());
-  Ref<> R = Scope.root(rope::fromFunction(TW.heap(), 100, identity, nullptr));
+  Ref<> R = Scope.root(iotaRope(TW.heap(), 100));
   EXPECT_EQ(rope::length(R), 100);
   EXPECT_EQ(rope::depth(R), 0);
   for (int64_t I = 0; I < 100; I += 7)
@@ -46,7 +60,7 @@ TEST(Rope, MultiLeafBalanced) {
   RopeWorld TW;
   RootScope Scope(TW.heap());
   const int64_t N = rope::LeafElems * 9 + 17;
-  Ref<> R = Scope.root(rope::fromFunction(TW.heap(), N, identity, nullptr));
+  Ref<> R = Scope.root(iotaRope(TW.heap(), N));
   EXPECT_EQ(rope::length(R), N);
   EXPECT_LE(rope::depth(R), 5) << "10 leaves need depth <= ceil(log2(10))+1";
   for (int64_t I = 0; I < N; I += 997)
@@ -67,13 +81,39 @@ TEST(Rope, FromToArrayRoundTrip) {
   EXPECT_EQ(In, Out);
 }
 
+TEST(Rope, FromArrayLeafBoundaries) {
+  // Each leaf is one copy out of the buffer: a wrong offset or length at
+  // a leaf boundary shows as a wrong first/last element of some leaf.
+  RopeWorld TW;
+  VProcHeap &H = TW.heap();
+  const int64_t L = rope::LeafElems;
+  for (int64_t N : {int64_t(0), int64_t(1), L - 1, L, L + 1, 16 * L + 3}) {
+    RootScope Scope(H);
+    std::vector<uint64_t> In = iota(N, 1000);
+    Ref<> R = Scope.root(rope::fromArray(H, In.data(), N));
+    EXPECT_EQ(rope::length(R), N) << "N = " << N;
+    std::vector<uint64_t> Out(In.size());
+    rope::toArray(R, Out.data());
+    EXPECT_EQ(In, Out) << "N = " << N;
+    int64_t Leaves = static_cast<int64_t>(
+        divideCeil(static_cast<uint64_t>(N), static_cast<uint64_t>(L)));
+    for (int64_t Leaf = 0; Leaf < Leaves; ++Leaf) {
+      int64_t First = Leaf * L, Last = std::min(N, First + L) - 1;
+      EXPECT_EQ(rope::get(R, First), In[First]) << "N = " << N;
+      EXPECT_EQ(rope::get(R, Last), In[Last]) << "N = " << N;
+    }
+    int64_t MaxDepth =
+        Leaves <= 1 ? 0 : log2Floor(nextPowerOf2(static_cast<uint64_t>(Leaves)));
+    EXPECT_LE(rope::depth(R), MaxDepth) << "N = " << N;
+    verifyHeap(H);
+  }
+}
+
 TEST(Rope, ConcatPreservesOrder) {
   RopeWorld TW;
   RootScope Scope(TW.heap());
-  Ref<> A = Scope.root(rope::fromFunction(TW.heap(), 1500, identity, nullptr));
-  Ref<> B = Scope.root(rope::fromFunction(
-      TW.heap(), 700, [](int64_t I, void *) { return uint64_t(I + 1500); },
-      nullptr));
+  Ref<> A = Scope.root(iotaRope(TW.heap(), 1500));
+  Ref<> B = Scope.root(iotaRope(TW.heap(), 700, 1500));
   Ref<> C = Scope.root(rope::concat(TW.heap(), A, B));
   EXPECT_EQ(rope::length(C), 2200);
   for (int64_t I = 0; I < 2200; I += 101)
@@ -83,7 +123,7 @@ TEST(Rope, ConcatPreservesOrder) {
 TEST(Rope, ConcatWithNil) {
   RopeWorld TW;
   RootScope Scope(TW.heap());
-  Ref<> A = Scope.root(rope::fromFunction(TW.heap(), 10, identity, nullptr));
+  Ref<> A = Scope.root(iotaRope(TW.heap(), 10));
   EXPECT_EQ(rope::concat(TW.heap(), Value::nil(), A), A);
   EXPECT_EQ(rope::concat(TW.heap(), A, Value::nil()), A);
 }
@@ -108,12 +148,10 @@ TEST(Rope, RepeatedConcatStaysShallow) {
 TEST(Rope, DoubleRopes) {
   RopeWorld TW;
   RootScope Scope(TW.heap());
-  Ref<> R = Scope.root(rope::fromFunction(
-      TW.heap(), 512,
-      [](int64_t I, void *) {
-        return rope::packDouble(0.5 * static_cast<double>(I));
-      },
-      nullptr));
+  std::vector<uint64_t> In(512);
+  for (std::size_t I = 0; I < In.size(); ++I)
+    In[I] = rope::packDouble(0.5 * static_cast<double>(I));
+  Ref<> R = Scope.root(rope::fromArray(TW.heap(), In.data(), 512));
   EXPECT_DOUBLE_EQ(rope::getDouble(R, 100), 50.0);
   EXPECT_DOUBLE_EQ(rope::getDouble(R, 511), 255.5);
 }
@@ -123,7 +161,7 @@ TEST(Rope, SurvivesCollections) {
   VProcHeap &H = TW.heap();
   RootScope Scope(H);
   const int64_t N = 4000;
-  Ref<> R = Scope.root(rope::fromFunction(H, N, identity, nullptr));
+  Ref<> R = Scope.root(iotaRope(H, N));
   allocGarbage(H, 500);
   H.minorGC();
   for (int64_t I = 0; I < N; I += 371)
@@ -139,7 +177,7 @@ TEST(Rope, SurvivesPromotionAndGlobalGC) {
   RopeWorld TW;
   VProcHeap &H = TW.heap();
   RootScope Scope(H);
-  Ref<> R = Scope.root(rope::fromFunction(H, 2500, identity, nullptr));
+  Ref<> R = Scope.root(iotaRope(H, 2500));
   R = H.promote(R);
   TW.World.requestGlobalGC();
   H.safePoint();
@@ -151,7 +189,7 @@ TEST(Rope, SurvivesPromotionAndGlobalGC) {
 TEST(Rope, IsRopePredicate) {
   RopeWorld TW;
   RootScope Scope(TW.heap());
-  Ref<> R = Scope.root(rope::fromFunction(TW.heap(), 2048, identity, nullptr));
+  Ref<> R = Scope.root(iotaRope(TW.heap(), 2048));
   EXPECT_TRUE(rope::isRope(TW.World, R));
   EXPECT_TRUE(rope::isRope(TW.World, Value::nil()));
   EXPECT_FALSE(rope::isRope(TW.World, Value::fromInt(3)));

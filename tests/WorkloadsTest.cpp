@@ -211,6 +211,14 @@ TEST(QuicksortWL, ParallelPartitionHandlesDegenerateInputs) {
         expectSorts(RT, VP, In, Cutoff, "already sorted");
         std::reverse(In.begin(), In.end());
         expectSorts(RT, VP, In, Cutoff, "reverse sorted");
+        // The classifier's edges: two of the median-of-three samples
+        // hold the minimum (maximum), so the top frame's pivot is it and
+        // every leaf's less (greater) rope is empty.
+        In = randomInts(N, 9);
+        In.front() = In[N / 2] = 0;
+        expectSorts(RT, VP, In, Cutoff, "pivot is the minimum");
+        In.front() = In[N / 2] = uint64_t(1) << 60;
+        expectSorts(RT, VP, In, Cutoff, "pivot is the maximum");
         expectSorts(RT, VP, randomInts(G - 1, 6), Cutoff, "grain - 1");
         expectSorts(RT, VP, randomInts(G, 7), Cutoff, "grain");
         expectSorts(RT, VP, randomInts(G + 1, 8), Cutoff, "grain + 1");
